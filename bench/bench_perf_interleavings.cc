@@ -13,7 +13,8 @@
 // Invoked with no arguments, the binary runs that experiment. Invoked with any
 // google-benchmark flag (e.g. --benchmark_filter=BM_), it instead runs the registered
 // microbenchmarks below, which quantify the dirty-page delta snapshot restore and the
-// zero-allocation trial hot path (bytes moved per restore, trials/second).
+// zero-allocation trial hot path (bytes moved per restore, trials/second). Every rate
+// counter here is registered with UseRealTime(): trials/s is trials per wall second.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -158,7 +159,7 @@ void BM_SnapshotRestoreDirty(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestoreDirty)->Unit(benchmark::kMicrosecond);
 
-// The distilled Algorithm 2 hot loop at steady state: delta restore + pooled-thread run
+// The distilled Algorithm 2 hot loop at steady state: delta restore + fiber-switched run
 // into recycled buffers + detectors over persistent scratch. Zero heap allocations per
 // iteration after warm-up (tests/trial_alloc_test.cc asserts that; this measures the rate).
 void BM_TrialLoopSteadyState(benchmark::State& state) {
@@ -190,7 +191,7 @@ void BM_TrialLoopSteadyState(benchmark::State& state) {
   state.counters["trials/s"] =
       benchmark::Counter(static_cast<double>(trial), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TrialLoopSteadyState)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrialLoopSteadyState)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Detector-overhead A/B: the identical loop with the suite narrowed to the paper's two
 // original oracles (console + race). BM_TrialLoopSteadyState runs all five, so the delta
@@ -226,7 +227,7 @@ void BM_TrialLoopRaceConsoleOnly(benchmark::State& state) {
   state.counters["trials/s"] =
       benchmark::Counter(static_cast<double>(trial), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TrialLoopRaceConsoleOnly)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrialLoopRaceConsoleOnly)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // The same loop with the tracer runtime-ENABLED: every trial emits the vm.restore span,
 // restore-bytes counter, and engine.run span into the per-thread buffer. The EXPERIMENTS.md
@@ -265,7 +266,7 @@ void BM_TrialLoopSteadyStateTraced(benchmark::State& state) {
   state.counters["dropped"] =
       benchmark::Counter(static_cast<double>(Tracer::Global().TotalDropped()));
 }
-BENCHMARK(BM_TrialLoopSteadyStateTraced)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrialLoopSteadyStateTraced)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace snowboard

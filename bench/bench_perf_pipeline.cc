@@ -9,6 +9,10 @@
 // Our absolute numbers are simulator-scale; the reproduced *shape* is: generation is orders
 // of magnitude faster than execution, S-FULL dominates clustering cost, and Snowboard's
 // precise PMC matching yields at least SKI-instruction-matching throughput.
+//
+// Every rate counter (tests/s, exec/min) and the end-to-end pipeline time are registered
+// with UseRealTime(): they are per wall second, not per second of the main thread's CPU
+// (which misses the pool workers' share entirely).
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -80,7 +84,7 @@ void BM_SequentialProfiling(benchmark::State& state) {
   state.counters["tests/s"] =
       benchmark::Counter(static_cast<double>(tests), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SequentialProfiling);
+BENCHMARK(BM_SequentialProfiling)->UseRealTime();
 
 void BM_PmcIdentificationAndClustering(benchmark::State& state) {
   bool with_sfull = state.range(0) != 0;
@@ -115,7 +119,7 @@ void BM_ConcurrentTestGeneration(benchmark::State& state) {
   state.counters["tests/s"] =
       benchmark::Counter(static_cast<double>(generated), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ConcurrentTestGeneration);
+BENCHMARK(BM_ConcurrentTestGeneration)->UseRealTime();
 
 // --- End-to-end engine A/B: streaming vs strict barriers. ---
 
@@ -146,6 +150,7 @@ BENCHMARK(BM_PipelineEndToEnd)
     ->Args({1, 1})
     ->Args({0, 4})
     ->Args({1, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- Execution throughput: Snowboard (precise PMC match) vs SKI (instruction match). ---
@@ -168,7 +173,7 @@ void BM_ExecutionThroughputSnowboard(benchmark::State& state) {
   state.counters["exec/min"] = benchmark::Counter(static_cast<double>(executions) * 60.0,
                                                   benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExecutionThroughputSnowboard);
+BENCHMARK(BM_ExecutionThroughputSnowboard)->UseRealTime();
 
 void BM_ExecutionThroughputSki(benchmark::State& state) {
   KernelVm vm;
@@ -186,7 +191,7 @@ void BM_ExecutionThroughputSki(benchmark::State& state) {
   state.counters["exec/min"] = benchmark::Counter(static_cast<double>(executions) * 60.0,
                                                   benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExecutionThroughputSki);
+BENCHMARK(BM_ExecutionThroughputSki)->UseRealTime();
 
 }  // namespace
 }  // namespace snowboard

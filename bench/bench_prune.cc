@@ -4,13 +4,14 @@
 //   1. On the reference campaign, prune-on executes >= 25% fewer trials than prune-off
 //      while reporting the identical issue set (the tests/equiv_property_test.cc A/B,
 //      quantified here with the funnel breakdown: executed / pruned / saturated tests).
-//   2. The happens-before fingerprint is cheap enough to ride the ~75k trials/s hot loop:
+//   2. The happens-before fingerprint is cheap enough to ride the trial hot loop:
 //      one pass over the trace with flat reusable storage, no steady-state allocation.
 // Invoked with no arguments, the binary runs the A/B experiment. Invoked with any
 // google-benchmark flag (e.g. --benchmark_filter=BM_), it runs the microbenchmarks:
 // BM_FingerprintOverhead isolates the per-trace fingerprint cost, and BM_TrialLoopPruned
 // is the full trial loop with fingerprint + seen-set + adaptive table — directly
-// comparable to bench_perf_interleavings' BM_TrialLoopSteadyState.
+// comparable to bench_perf_interleavings' BM_TrialLoopSteadyState. Both register their rate
+// counters with UseRealTime(), so events/s and trials/s are per wall second.
 #include <string>
 #include <vector>
 
@@ -119,7 +120,7 @@ void BM_FingerprintOverhead(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["trace_events"] = static_cast<double>(trace.size());
 }
-BENCHMARK(BM_FingerprintOverhead);
+BENCHMARK(BM_FingerprintOverhead)->UseRealTime();
 
 // The full pruned trial loop: restore + run + fingerprint + seen-set probe + detectors,
 // with the adaptive table installed when arg is 1. Compare trials/s against
@@ -183,7 +184,7 @@ void BM_TrialLoopPruned(benchmark::State& state) {
   state.counters["pruned/trials"] =
       trial == 0 ? 0.0 : static_cast<double>(pruned) / static_cast<double>(trial);
 }
-BENCHMARK(BM_TrialLoopPruned)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrialLoopPruned)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace snowboard

@@ -3,7 +3,9 @@
 // Measures the steady-state concurrent-test execution stage — the loop the paper runs for
 // 10 days on a 32-VM fleet — at 1/2/4/8 workers over a fixed prepared campaign, and
 // reports, per point:
-//   * trials_per_sec        — wall-clock trials/s of this run (manual time).
+//   * trials_per_sec        — wall-clock trials/s of this run: a kIsRate counter under
+//                             UseManualTime(), which google-benchmark divides by the
+//                             steady_clock time each iteration reports (never CPU time).
 //   * cpu_us_per_trial      — measured CPU cost of one trial, summed over ALL pool
 //                             threads (getrusage RUSAGE_SELF), the contention-sensitive
 //                             number the lock-free claim/aggregation work drives down.

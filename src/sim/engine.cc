@@ -1,6 +1,33 @@
 #include "src/sim/engine.h"
 
-#include <optional>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cstdlib>
+
+// Sanitizer fiber annotations: ASan must know which stack is live (for exception unwinding
+// and fake stacks), TSan which fiber's history an access belongs to.
+#if defined(__SANITIZE_ADDRESS__)
+#define SB_ASAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define SB_TSAN_FIBERS 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SB_ASAN_FIBERS 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define SB_TSAN_FIBERS 1
+#endif
+#endif
+#if SB_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if SB_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "src/sim/site.h"
 #include "src/util/assert.h"
@@ -126,36 +153,64 @@ void Ctx::Panic(const std::string& message) {
 // Engine.
 // --------------------------------------------------------------------------------------------
 
-Engine::Engine(uint32_t mem_size) : memory_(mem_size) {}
+namespace {
 
-Engine::~Engine() {
-  {
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    shutdown_ = true;
-    token_cv_.notify_all();
-  }
-  for (std::thread& t : pool_) {
-    t.join();
-  }
-}
+// Fiber stacks are reserved, not committed (MAP_NORESERVE): only the pages guest code
+// actually touches become resident.
+constexpr size_t kFiberStackBytes = size_t{1} << 20;
 
-void Engine::PoolWorkerMain(VcpuId vcpu) {
-  uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  for (;;) {
-    token_cv_.wait(lock, [&] {
-      return shutdown_ || (run_generation_ != seen_generation && vcpu < run_vcpus_);
-    });
-    if (shutdown_) {
+}  // namespace
+
+// One vCPU's execution context. vCPU 0 has no stack of its own: it runs on whichever host
+// thread called RunInto, and its context slot saves that thread's state while a fiber runs.
+struct Engine::Fiber {
+  Fiber() = default;  // vCPU 0.
+
+  // vCPU >= 1: maps a stack with a PROT_NONE guard page below it.
+  explicit Fiber(size_t bytes) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    mapping_bytes = bytes + page;
+    mapping = mmap(nullptr, mapping_bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    SB_CHECK(mapping != MAP_FAILED);
+    SB_CHECK(mprotect(mapping, page, PROT_NONE) == 0);
+    stack_bottom = static_cast<char*>(mapping) + page;
+    stack_bytes = bytes;
+    SB_CHECK(getcontext(&context) == 0);
+#if SB_TSAN_FIBERS
+    tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+
+  ~Fiber() {
+    if (mapping == nullptr) {
       return;
     }
-    seen_generation = run_generation_;
-    const GuestFn& fn = (*run_fns_)[static_cast<size_t>(vcpu)];
-    lock.unlock();
-    GuestThreadMain(vcpu, fn);
-    lock.lock();
+#if SB_TSAN_FIBERS
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+    munmap(mapping, mapping_bytes);
   }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  ucontext_t context{};
+  void* mapping = nullptr;
+  size_t mapping_bytes = 0;
+  // The usable stack, as the sanitizers want it described. vCPU 0's bounds are learned from
+  // ASan on each switch away from the host stack.
+  const void* stack_bottom = nullptr;
+  size_t stack_bytes = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
+
+Engine::Engine(uint32_t mem_size) : memory_(mem_size) {
+  fibers_.push_back(std::make_unique<Fiber>());
 }
+
+Engine::~Engine() = default;
 
 Engine::RunResult Engine::Run(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opts) {
   RunResult result;
@@ -184,35 +239,40 @@ void Engine::RunInto(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opt
   trace_.clear();
   seq_ = 0;
   instructions_ = 0;
+  abort_ = false;
   panicked_ = false;
   hang_ = false;
   panic_message_.clear();
   console_.Clear();
+  run_fns_ = &vcpu_fns;
 
-  // Grow the persistent pool to cover this run's vCPU count (first-run warm-up only).
-  while (pool_.size() < static_cast<size_t>(n)) {
-    VcpuId vcpu = static_cast<VcpuId>(pool_.size());
-    pool_.emplace_back([this, vcpu] { PoolWorkerMain(vcpu); });
+  // Map a stack for every vCPU this run adds over the high-water count (first run with that
+  // many vCPUs only), then aim each fiber at the top of FiberMain.
+  while (fibers_.size() < static_cast<size_t>(n)) {
+    fibers_.push_back(std::make_unique<Fiber>(kFiberStackBytes));
   }
-
-  {
-    std::unique_lock<std::mutex> lock(token_mutex_);
-    // Workers from the previous run have all left the finish protocol (the previous wait
-    // saw unfinished_ == 0 under this mutex), so per-run state is safe to republish.
-    abort_ = false;
-    unfinished_ = n;
-    run_fns_ = &vcpu_fns;
-    run_vcpus_ = n;
-    run_generation_++;
-    scheduler_->OnTrialStart(n);
-    active_vcpu_ = 0;
-    token_cv_.notify_all();
-    token_cv_.wait(lock, [this] { return unfinished_ == 0; });
-    active_vcpu_ = kInvalidVcpu;
-    run_fns_ = nullptr;
-    run_vcpus_ = 0;
+  const uintptr_t self = reinterpret_cast<uintptr_t>(this);
+  for (int v = 1; v < n; v++) {
+    Fiber& fiber = *fibers_[static_cast<size_t>(v)];
+    fiber.context.uc_stack.ss_sp = const_cast<void*>(fiber.stack_bottom);
+    fiber.context.uc_stack.ss_size = fiber.stack_bytes;
+    fiber.context.uc_link = nullptr;  // FiberMain never returns.
+    makecontext(&fiber.context, reinterpret_cast<void (*)()>(&Engine::FiberMain), 3,
+                static_cast<unsigned>(self >> 32), static_cast<unsigned>(self), v);
   }
+#if SB_TSAN_FIBERS
+  fibers_[0]->tsan_fiber = __tsan_get_current_fiber();
+#endif
 
+  scheduler_->OnTrialStart(n);
+  RunVcpu(0);
+  // vCPU 0 is done. Resume the others, if any is unfinished: a fiber hands control back to
+  // this host context only once every vCPU has finished.
+  const VcpuId next = NextLiveVcpu(0);
+  if (next != kInvalidVcpu) {
+    SwitchTo(0, next);
+  }
+  run_fns_ = nullptr;
   scheduler_->OnTrialEnd();
 
   result->completed = !abort_;
@@ -231,29 +291,67 @@ Engine::RunResult Engine::RunSequential(const GuestFn& fn, uint64_t max_instruct
   return Run({fn}, opts);
 }
 
-void Engine::GuestThreadMain(VcpuId vcpu, const GuestFn& fn) {
+void Engine::RunVcpu(VcpuId vcpu) noexcept {
   try {
-    WaitForToken(vcpu);
-    fn(ctxs_[static_cast<size_t>(vcpu)]);
+    if (!abort_) {
+      (*run_fns_)[static_cast<size_t>(vcpu)](ctxs_[static_cast<size_t>(vcpu)]);
+    }
   } catch (const TrialAbort&) {
-    // Unwound guest code; fall through to the finish protocol.
+    // Unwound guest code; this vCPU is done either way.
   }
-  std::lock_guard<std::mutex> lock(token_mutex_);
   vcpus_[static_cast<size_t>(vcpu)].finished = true;
-  unfinished_--;
-  if (active_vcpu_ == vcpu) {
-    // Pass the token onward; kInvalidVcpu when this was the last runner.
-    active_vcpu_ = NextLiveVcpu(vcpu);
-  }
-  token_cv_.notify_all();
 }
 
-void Engine::WaitForToken(VcpuId vcpu) {
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  token_cv_.wait(lock, [this, vcpu] { return abort_ || active_vcpu_ == vcpu; });
-  if (abort_) {
-    throw TrialAbort{};
-  }
+void Engine::FiberMain(unsigned engine_hi, unsigned engine_lo, unsigned vcpu) {
+  Engine* engine = reinterpret_cast<Engine*>((uintptr_t{engine_hi} << 32) | engine_lo);
+  engine->FinishSwitch(nullptr);
+  const VcpuId self = static_cast<VcpuId>(vcpu);
+  engine->RunVcpu(self);
+  // Pass control onward; back to the host context once every vCPU has finished.
+  const VcpuId next = engine->NextLiveVcpu(self);
+  engine->LeaveFinishedFiber(self, next != kInvalidVcpu ? next : 0);
+}
+
+void Engine::SwitchTo(VcpuId from, VcpuId to) {
+  Fiber& self = *fibers_[static_cast<size_t>(from)];
+  Fiber& target = *fibers_[static_cast<size_t>(to)];
+  switch_from_ = from;
+#if SB_TSAN_FIBERS
+  __tsan_switch_to_fiber(target.tsan_fiber, 0);
+#endif
+#if SB_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&self.asan_fake_stack, target.stack_bottom,
+                                 target.stack_bytes);
+#endif
+  swapcontext(&self.context, &target.context);
+  FinishSwitch(self.asan_fake_stack);
+}
+
+void Engine::LeaveFinishedFiber(VcpuId from, VcpuId to) {
+  Fiber& target = *fibers_[static_cast<size_t>(to)];
+  switch_from_ = from;
+#if SB_TSAN_FIBERS
+  __tsan_switch_to_fiber(target.tsan_fiber, 0);
+#endif
+#if SB_ASAN_FIBERS
+  // Null save slot: this fiber's fake stack is released, it never resumes.
+  __sanitizer_start_switch_fiber(nullptr, target.stack_bottom, target.stack_bytes);
+#endif
+  setcontext(&target.context);
+  std::abort();  // setcontext returns only on failure.
+}
+
+void Engine::FinishSwitch(void* fake_stack) {
+#if SB_ASAN_FIBERS
+  const void* from_bottom = nullptr;
+  size_t from_bytes = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &from_bottom, &from_bytes);
+  Fiber& from = *fibers_[static_cast<size_t>(switch_from_)];
+  from.stack_bottom = from_bottom;
+  from.stack_bytes = from_bytes;
+#else
+  (void)fake_stack;
+#endif
 }
 
 VcpuId Engine::NextLiveVcpu(VcpuId from) const {
@@ -268,10 +366,6 @@ VcpuId Engine::NextLiveVcpu(VcpuId from) const {
 }
 
 void Engine::Yield(VcpuId from, bool record_event) {
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  if (abort_) {
-    throw TrialAbort{};
-  }
   VcpuId next = NextLiveVcpu(from);
   if (next == kInvalidVcpu) {
     return;  // No one to switch to; keep running.
@@ -283,11 +377,9 @@ void Engine::Yield(VcpuId from, bool record_event) {
     event.seq = seq_++;
     trace_.push_back(event);
   }
-  active_vcpu_ = next;
-  token_cv_.notify_all();
-  token_cv_.wait(lock, [this, from] { return abort_ || active_vcpu_ == from; });
+  SwitchTo(from, next);
   if (abort_) {
-    throw TrialAbort{};
+    throw TrialAbort{};  // Another vCPU ended the trial while this one was suspended.
   }
 }
 
@@ -302,16 +394,12 @@ void Engine::RecordEvent(Event event) {
 }
 
 void Engine::AbortTrial(VcpuId vcpu, bool panic, const std::string& message) {
-  {
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    abort_ = true;
-    if (panic) {
-      panicked_ = true;
-      panic_message_ = message;
-    } else {
-      hang_ = true;
-    }
-    token_cv_.notify_all();
+  abort_ = true;
+  if (panic) {
+    panicked_ = true;
+    panic_message_ = message;
+  } else {
+    hang_ = true;
   }
   throw TrialAbort{};
 }

@@ -6,19 +6,18 @@
 //   * "The hypervisor performs tracing of every kernel memory access instruction."
 //   * Provides the yield primitive, the is_live heuristic, and guest console capture.
 //
-// Each vCPU is a host thread running guest (mini-kernel) code against the shared Memory
-// arena, but a token-passing handshake guarantees exactly one vCPU executes at any instant;
-// every vCPU switch happens at a memory-access boundary chosen by the installed Scheduler.
-// The result is fully deterministic given (guest code, scheduler decisions).
+// Every vCPU runs on the calling host thread. vCPU 0 runs on the caller's own stack; each
+// further vCPU is a fiber (a ucontext on an Engine-owned stack), so exactly one vCPU executes
+// at any instant by construction. A vCPU switch is a user-space stack switch at a
+// memory-access boundary chosen by the installed Scheduler. The result is fully
+// deterministic given (guest code, scheduler decisions).
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/access.h"
@@ -33,7 +32,9 @@ namespace snowboard {
 class Engine;
 
 // Thrown inside guest code to unwind a vCPU when the trial ends abnormally (panic, hang,
-// instruction budget). Guest kernel code never catches it; the engine does.
+// instruction budget). Guest kernel code never catches it; the engine does, and then resumes
+// every other unfinished vCPU in round-robin order so each unwinds its own frames the same
+// way (a vCPU that never started skips its guest function).
 struct TrialAbort {};
 
 // Per-vCPU guest execution context: the only door through which kernel code touches guest
@@ -130,11 +131,14 @@ class Engine {
   Console& console() { return console_; }
 
   // Runs one guest function per vCPU, serialized under `opts.scheduler`, until all complete
-  // or the trial aborts. vCPU 0 receives the token first. Reentrant across Engine instances
-  // (each worker in the distributed queue owns its own Engine); not reentrant per instance.
+  // or the trial aborts. vCPU 0 runs first. Reentrant across Engine instances (each worker
+  // in the distributed queue owns its own Engine); not reentrant per instance. Successive
+  // runs may come from different host threads.
   //
-  // vCPU host threads are pooled: the first run with N vCPUs spawns N persistent workers,
-  // and every later run re-dispatches onto them — no thread create/join in the trial loop.
+  // All vCPUs run on the calling thread. vCPU 0 uses the caller's stack; vCPU k >= 1 runs on
+  // a fiber stack that the first run with more than k vCPUs maps and every later run reuses,
+  // so a sequential run maps and switches nothing and the trial loop never touches the OS
+  // beyond the context switch itself.
   RunResult Run(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opts);
 
   // Allocation-free variant for the trial hot loop: recycles `result`'s buffers (trace
@@ -156,7 +160,9 @@ class Engine {
     bool pending_switch = false;
   };
 
-  // --- Guest-side services (called with the token held by `vcpu`). ---
+  struct Fiber;  // A vCPU's saved machine context and (for vCPU >= 1) its stack.
+
+  // --- Guest-side services (called on the running vCPU). ---
   void OnAccess(Ctx& ctx, Access& access);        // Schedule, perform, trace.
   // Atomic RMW: one scheduling point; the write executes iff do_write_if(read value).
   void OnRmw(Ctx& ctx, Access& read, const std::function<bool(uint64_t)>& do_write_if,
@@ -168,14 +174,16 @@ class Engine {
   void PerformAccess(Access& access);             // Raw memory op + fault check.
   void FaultCheck(Ctx& ctx, const Access& access);
 
-  // --- Token machinery. ---
-  void GuestThreadMain(VcpuId vcpu, const GuestFn& fn);
-  void WaitForToken(VcpuId vcpu);                 // Throws TrialAbort if the trial died.
+  // --- vCPU switching. ---
   VcpuId NextLiveVcpu(VcpuId from) const;         // kInvalidVcpu if none.
-
-  // Persistent pool worker: parks between runs, executes vCPU `vcpu`'s guest function for
-  // every run whose vCPU count covers it.
-  void PoolWorkerMain(VcpuId vcpu);
+  // Runs `vcpu`'s guest function (unless the trial already aborted) and marks it finished.
+  void RunVcpu(VcpuId vcpu) noexcept;
+  // Suspends `from` and resumes `to`; returns when some vCPU switches back to `from`.
+  void SwitchTo(VcpuId from, VcpuId to);
+  // Leaves the finished fiber `from` for good, resuming `to` (vCPU 0 = the host context).
+  [[noreturn]] void LeaveFinishedFiber(VcpuId from, VcpuId to);
+  void FinishSwitch(void* fake_stack);            // Sanitizer bookkeeping on arrival.
+  static void FiberMain(unsigned engine_hi, unsigned engine_lo, unsigned vcpu);
 
   Memory memory_;
   Console console_;
@@ -195,17 +203,12 @@ class Engine {
   bool hang_ = false;
   std::string panic_message_;
 
-  std::mutex token_mutex_;
-  std::condition_variable token_cv_;
-  VcpuId active_vcpu_ = kInvalidVcpu;
-  int unfinished_ = 0;
-
-  // --- vCPU thread pool (guarded by token_mutex_ unless noted). ---
-  std::vector<std::thread> pool_;        // Grown to the high-water vCPU count, never shrunk.
   const std::vector<GuestFn>* run_fns_ = nullptr;  // Valid while a run is in flight.
-  uint64_t run_generation_ = 0;          // Bumped per run; wakes parked workers.
-  int run_vcpus_ = 0;                    // vCPU count of the current run.
-  bool shutdown_ = false;
+  VcpuId switch_from_ = kInvalidVcpu;    // The vCPU that started the switch in progress.
+
+  // One per vCPU, grown to the high-water vCPU count and never shrunk. Heap-allocated each:
+  // a ucontext_t points into itself, so it must never move.
+  std::vector<std::unique_ptr<Fiber>> fibers_;
 };
 
 }  // namespace snowboard

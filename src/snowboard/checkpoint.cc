@@ -251,15 +251,18 @@ std::vector<std::string> CheckpointStore::ReadJournal(const std::string& name) c
   if (!ok_ || !ValidName(name)) {
     return records;
   }
+  std::optional<std::string> text;
   {
     // Read-your-writes: commit this journal's still-buffered records first so batching
-    // never makes a same-process reader miss an append that returned true.
+    // never makes a same-process reader miss an append that returned true. The file is
+    // read under the same lock: a concurrent append flushing mid-read would otherwise
+    // show this reader a torn last line.
     std::lock_guard<std::mutex> lock(mutex_);
     if (fault_ == nullptr || !fault_->crashed()) {
       FlushJournalLocked(name);
     }
+    text = ReadFileContents(JournalPathFor(name));
   }
-  std::optional<std::string> text = ReadFileContents(JournalPathFor(name));
   if (!text.has_value()) {
     return records;
   }

@@ -270,7 +270,7 @@ StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options,
                                         const std::vector<Pmc>& pmcs) {
   StageDef<SerializedTests> def;
   def.span = "stage.cluster";
-  def.entry = std::string("tests.") + StrategyName(options.strategy);
+  def.entry = std::string("tests.") + StrategyToken(options.strategy);
   def.serialize = [](const SerializedTests& tests) {
     return SerializeConcurrentTests(tests.tests, tests.cluster_count);
   };
@@ -282,7 +282,7 @@ StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options,
 StageDef<PipelineResult> ResultStageDef(const PipelineOptions& options) {
   StageDef<PipelineResult> def;
   def.span = "stage.result";
-  def.entry = std::string("result.") + StrategyName(options.strategy);
+  def.entry = std::string("result.") + StrategyToken(options.strategy);
   def.serialize = [](const PipelineResult& result) { return SerializePipelineResult(result); };
   def.deserialize = [](const std::string& text) { return DeserializePipelineResult(text); };
   return def;
@@ -473,7 +473,7 @@ class StreamingEngine {
       : options_(options),
         runner_(store, options.fault, options.resume),
         use_pmc_(StrategyUsesPmcs(options.strategy)),
-        journal_name_(std::string("execute.") + StrategyName(options.strategy)),
+        journal_name_(std::string("execute.") + StrategyToken(options.strategy)),
         accumulator_(options.pmc) {}
 
   void Run(PipelineResult* result) {
@@ -1097,7 +1097,7 @@ void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hint
   StageTimer timer;
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
   StageRunner runner(store.get(), options.fault, options.resume);
-  const std::string journal_name = std::string("execute.") + StrategyName(options.strategy);
+  const std::string journal_name = std::string("execute.") + StrategyToken(options.strategy);
   std::vector<std::optional<OutcomeRecord>> journaled =
       BuildJournalTable(runner, journal_name, tests.size());
 

@@ -511,7 +511,7 @@ CampaignStatus FleetServer::StatusLocked(const Campaign& campaign) const {
   // live run — checksummed lines make a torn tail drop, not lie).
   CheckpointStore store(CheckpointDirFor(campaign.spec.name));
   status.tests_journaled =
-      store.ReadJournal(std::string("execute.") + StrategyName(campaign.spec.strategy))
+      store.ReadJournal(std::string("execute.") + StrategyToken(campaign.spec.strategy))
           .size();
   return status;
 }

@@ -54,7 +54,7 @@ void CountJournaled(const std::string& dir, const PipelineOptions& options,
   CheckpointStore store(dir);
   std::vector<bool> seen(total_tests, false);
   *count_out = 0;
-  std::string journal = std::string("execute.") + StrategyName(options.strategy);
+  std::string journal = std::string("execute.") + StrategyToken(options.strategy);
   for (const std::string& record : store.ReadJournal(journal)) {
     std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
     ASSERT_TRUE(decoded.has_value()) << "committed journal records must decode";
@@ -253,14 +253,90 @@ TEST(CheckpointResumeTest, MismatchedOptionsFingerprintResetsDirectory) {
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
+// The non-clustering strategies' display names contain spaces ("Random S-INS-PAIR"), which
+// checkpoint entry and journal names may not; their entries are keyed by StrategyToken. A
+// random-pairing campaign must journal its tests like any other and resume from the journal
+// with zero re-execution, then short-circuit on its committed result.
+TEST(CheckpointResumeTest, RandomPairingCampaignJournalsAndResumes) {
+  auto options_for = [](const std::string& dir) {
+    PipelineOptions options = TinyOptions(2);
+    options.strategy = Strategy::kRandomSInsPair;
+    options.checkpoint_dir = dir;
+    return options;
+  };
+  const std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(options_for("")));
+  const std::string journal = std::string("execute.") + StrategyToken(Strategy::kRandomSInsPair);
+  const std::string result_entry =
+      std::string("result.") + StrategyToken(Strategy::kRandomSInsPair);
+
+  // Complete a checkpointed run: every executed test is journaled and the result committed.
+  const std::string complete_dir = FreshDir("random_complete");
+  PipelineResult complete = RunSnowboardPipeline(options_for(complete_dir));
+  ASSERT_GT(complete.tests_executed, 0u);
+  ASSERT_EQ(SerializePipelineResult(complete), golden_text);
+  size_t journaled = 0;
+  CountJournaled(complete_dir, options_for(complete_dir), complete.tests_generated, &journaled);
+  EXPECT_EQ(journaled, complete.tests_executed) << "every executed test must be journaled";
+  EXPECT_TRUE(CheckpointStore(complete_dir).Has(result_entry));
+
+  // Crash late enough that outcomes are journaled but no result is committed, so the
+  // resume has to come from the journal.
+  FaultInjector::Plan no_crash;
+  FaultInjector point_counter(no_crash);
+  const std::string count_dir = FreshDir("random_count");
+  PipelineOptions count_options = options_for(count_dir);
+  count_options.fault = &point_counter;
+  RunSnowboardPipeline(count_options);
+  std::string dir;
+  journaled = 0;
+  for (uint64_t crash_at = point_counter.points_seen(); crash_at-- > 0;) {
+    std::string candidate = FreshDir("random_crash");
+    FaultInjector::Plan plan;
+    plan.crash_at = static_cast<int64_t>(crash_at);
+    FaultInjector fault(plan);
+    PipelineOptions crash_options = options_for(candidate);
+    crash_options.fault = &fault;
+    RunSnowboardPipeline(crash_options);
+    ASSERT_TRUE(fault.crashed());
+    CheckpointStore store(candidate);
+    if (!store.Has(result_entry) && !store.ReadJournal(journal).empty()) {
+      dir = candidate;
+      CountJournaled(candidate, crash_options, complete.tests_generated, &journaled);
+      break;
+    }
+    std::filesystem::remove_all(candidate);
+  }
+  ASSERT_FALSE(dir.empty()) << "no crash point left journaled outcomes without a result";
+  ASSERT_GT(journaled, 0u);
+
+  ResetPipelineCounters();
+  PipelineOptions resume_options = options_for(dir);
+  resume_options.resume = true;
+  PipelineResult resumed = RunSnowboardPipeline(resume_options);
+  EXPECT_EQ(SerializePipelineResult(resumed), golden_text);
+  EXPECT_EQ(resumed.tests_resumed, journaled);
+  EXPECT_EQ(GlobalPipelineCounters().concurrent_tests_run.load(),
+            complete.tests_generated - journaled)
+      << "journaled tests must not re-execute";
+
+  // And the now-committed result short-circuits a second resume.
+  ResetPipelineCounters();
+  PipelineResult again = RunSnowboardPipeline(resume_options);
+  EXPECT_EQ(SerializePipelineResult(again), golden_text);
+  EXPECT_EQ(GlobalPipelineCounters().concurrent_tests_run.load(), 0u);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(count_dir);
+  std::filesystem::remove_all(complete_dir);
+}
+
 // A journal record whose test index is outside the campaign's test list (e.g. a journal
 // left by a differently-sized test set) must be dropped and counted — never replayed as
 // progress, and never allowed to perturb the resumed result.
 TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   PipelineOptions plain = TinyOptions(2);
   const std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(plain));
-  const std::string journal = std::string("execute.") + StrategyName(plain.strategy);
-  const std::string result_entry = std::string("result.") + StrategyName(plain.strategy);
+  const std::string journal = std::string("execute.") + StrategyToken(plain.strategy);
+  const std::string result_entry = std::string("result.") + StrategyToken(plain.strategy);
 
   // Count the campaign's fault points, then crash late enough that the directory has
   // journaled outcomes but no committed result (so a resume actually replays the journal).
@@ -400,7 +476,7 @@ TEST(CheckpointResumeTest, JournalBatchFlushAccountingReconciles) {
   size_t on_disk = 0;
   {
     CheckpointStore store(options.checkpoint_dir);
-    const std::string journal = std::string("execute.") + StrategyName(options.strategy);
+    const std::string journal = std::string("execute.") + StrategyToken(options.strategy);
     on_disk = store.ReadJournal(journal).size();
   }
   ASSERT_GT(on_disk, 0u);

@@ -103,7 +103,7 @@ size_t JournaledTests(const std::string& root, const CampaignSpec& spec,
   CheckpointStore store(root + "/" + spec.name + "/checkpoint");
   std::vector<bool> seen(total_tests, false);
   size_t count = 0;
-  std::string journal = std::string("execute.") + StrategyName(spec.strategy);
+  std::string journal = std::string("execute.") + StrategyToken(spec.strategy);
   for (const std::string& record : store.ReadJournal(journal)) {
     std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
     EXPECT_TRUE(decoded.has_value()) << "committed journal records must decode";

@@ -1,5 +1,10 @@
-// Engine tests: serialized execution, tracing, scheduling hooks, faults, RMWs, copies.
+// Engine tests: serialized execution, tracing, scheduling hooks, faults, RMWs, copies, and
+// the fiber machinery (abort unwinding, cross-thread reuse).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/site.h"
@@ -269,6 +274,165 @@ TEST(EngineTest, ConsoleCapturedPerRun) {
   ASSERT_EQ(r2.console.size(), 1u);
   EXPECT_EQ(r1.console[0], "hello");
   EXPECT_EQ(r2.console[0], "world");
+}
+
+// --- Fiber switching. ---------------------------------------------------------------------
+
+// A guest RAII frame: logs its vCPU when destroyed, as kernel StackFrame guards restore esp.
+struct FrameGuard {
+  std::vector<int>* log;
+  int vcpu;
+  ~FrameGuard() { log->push_back(vcpu); }
+};
+
+// Compact "A<vcpu>"/"Y<vcpu>" rendering of a trace's event kinds, in order.
+std::string TraceShape(const Engine::RunResult& result) {
+  std::string shape;
+  for (const Event& e : result.trace) {
+    shape += e.kind == EventKind::kAccess ? "A" : e.kind == EventKind::kYield ? "Y" : "?";
+    shape += std::to_string(e.vcpu);
+  }
+  return shape;
+}
+
+Engine::RunResult RunTwoStoresPerVcpu(Engine& engine, GuestAddr cells, int vcpus) {
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  std::vector<Engine::GuestFn> fns;
+  for (int v = 0; v < vcpus; v++) {
+    fns.push_back([cells, v](Ctx& ctx) {
+      ctx.Store32(cells + 4 * static_cast<uint32_t>(v), 1, SB_SITE());
+      ctx.Store32(cells + 4 * static_cast<uint32_t>(v), 2, SB_SITE());
+    });
+  }
+  return engine.Run(fns, opts);
+}
+
+TEST(EngineFiberTest, TracesMatchFixedSequenceForOneTwoThreeVcpus) {
+  // Switch-after-every-access: each vCPU's second store yields (recording Y) to the next
+  // live vCPU round-robin; a finished vCPU hands off without an event. One engine runs all
+  // three shapes, so fibers mapped for the 3-vCPU run are reused by the later runs too.
+  Engine engine(1 << 16);
+  GuestAddr cells = Alloc(engine, 16);
+  const char* expected[] = {"", "A0A0", "A0Y0A1Y1A0A1", "A0Y0A1Y1A2Y2A0A1A2"};
+  for (int vcpus : {1, 2, 3, 2, 1, 3}) {
+    SCOPED_TRACE(vcpus);
+    Engine::RunResult result = RunTwoStoresPerVcpu(engine, cells, vcpus);
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(TraceShape(result), expected[vcpus]);
+    for (size_t i = 0; i < result.trace.size(); i++) {
+      EXPECT_EQ(result.trace[i].seq, i);
+    }
+  }
+}
+
+TEST(EngineFiberTest, PanicUnwindsEveryStartedVcpuAndSkipsUnstartedOne) {
+  Engine engine(1 << 16);
+  GuestAddr cell = Alloc(engine, 8);
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  std::vector<int> destroyed;
+  bool third_started = false;
+  Engine::RunResult result = engine.Run(
+      {[&](Ctx& ctx) {
+         FrameGuard guard{&destroyed, 0};
+         ctx.Store32(cell, 1, SB_SITE());
+         ctx.Store32(cell, 2, SB_SITE());  // Yields to vCPU 1 first; never returns.
+         ADD_FAILURE() << "vCPU 0 resumed past the abort";
+       },
+       [&](Ctx& ctx) {
+         FrameGuard guard{&destroyed, 1};
+         ctx.Panic("BUG: vcpu1 dies");
+       },
+       [&](Ctx& ctx) { third_started = true; }},
+      opts);
+  EXPECT_TRUE(result.panicked);
+  EXPECT_FALSE(result.completed);
+  EXPECT_FALSE(third_started) << "a vCPU that never ran must skip its body on abort";
+  // The panicking vCPU unwinds first, then the rest in round-robin order from it.
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 0}));
+}
+
+TEST(EngineFiberTest, HangUnwindsEveryVcpuRoundRobinFromTheAborter) {
+  Engine engine(1 << 16);
+  GuestAddr cells = Alloc(engine, 16);
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  opts.max_instructions = 7;  // Instruction k runs on vCPU (k - 1) % 3: the 8th is vCPU 1's.
+  std::vector<int> destroyed;
+  std::vector<Engine::GuestFn> fns;
+  for (int v = 0; v < 3; v++) {
+    fns.push_back([&, v](Ctx& ctx) {
+      FrameGuard guard{&destroyed, v};
+      for (uint32_t i = 0;; i++) {
+        ctx.Store32(cells + 4 * static_cast<uint32_t>(v), i, SB_SITE());
+      }
+    });
+  }
+  Engine::RunResult result = engine.Run(fns, opts);
+  EXPECT_TRUE(result.hang);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.instructions, 8u);
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 2, 0}));
+}
+
+// Recurses `depth` frames, each holding a guard and touching memory (so the scheduler
+// switches vCPUs between frames), then panics from the innermost one.
+void DeepPanic(Ctx& ctx, GuestAddr cell, int depth, std::vector<int>* destroyed) {
+  FrameGuard guard{destroyed, 100 + depth};
+  ctx.Store32(cell, static_cast<uint32_t>(depth), SB_SITE());
+  if (depth == 0) {
+    ctx.Panic("BUG: deep panic");
+  }
+  DeepPanic(ctx, cell, depth - 1, destroyed);
+}
+
+TEST(EngineFiberTest, TrialAbortDeepInsideFiberUnwindsCleanly) {
+  Engine engine(1 << 16);
+  GuestAddr cell = Alloc(engine, 16);
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  std::vector<int> destroyed;
+  Engine::RunResult result = engine.Run(
+      {[&](Ctx& ctx) {
+         FrameGuard guard{&destroyed, 0};
+         for (;;) {
+           ctx.Store32(cell + 8, 0, SB_SITE());
+           ctx.Store32(cell + 12, 0, SB_SITE());
+         }
+       },
+       [&](Ctx& ctx) { DeepPanic(ctx, cell, 6, &destroyed); }},
+      opts);
+  EXPECT_TRUE(result.panicked);
+  EXPECT_EQ(result.panic_message, "BUG: deep panic");
+  // vCPU 1's frames innermost-first, then vCPU 0's.
+  EXPECT_EQ(destroyed, (std::vector<int>{100, 101, 102, 103, 104, 105, 106, 0}));
+
+  // The engine (and vCPU 1's reused fiber stack) is fully usable afterwards.
+  Engine::RunResult next = RunTwoStoresPerVcpu(engine, cell, 2);
+  EXPECT_TRUE(next.completed);
+  EXPECT_EQ(TraceShape(next), "A0Y0A1Y1A0A1");
+}
+
+TEST(EngineFiberTest, OneEngineRunsOnSuccessiveHostThreads) {
+  Engine engine(1 << 16);
+  GuestAddr cells = Alloc(engine, 16);
+  std::vector<std::string> shapes;
+  for (int round = 0; round < 2; round++) {
+    std::thread host([&] {
+      Engine::RunResult result = RunTwoStoresPerVcpu(engine, cells, 3);
+      EXPECT_TRUE(result.completed);
+      shapes.push_back(TraceShape(result));
+    });
+    host.join();
+  }
+  ASSERT_EQ(shapes.size(), 2u);
+  EXPECT_EQ(shapes[0], "A0Y0A1Y1A2Y2A0A1A2");
+  EXPECT_EQ(shapes[1], shapes[0]);
 }
 
 }  // namespace
