@@ -30,8 +30,7 @@ int Run() {
   const int kMaxTrials = 2048;
 
   PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 400, 4);
-  PreparedCampaign campaign = PrepareCampaign(options);
-  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, nullptr);
+  const std::vector<ConcurrentTest> tests = PrepareCampaign(options).tests;
 
   // Harvest one bug-triggering test per issue (as bench_perf_interleavings does).
   struct BugTest {

@@ -30,8 +30,19 @@ inline PipelineOptions CanonicalOptions(Strategy strategy, size_t budget, int wo
   return options;
 }
 
-inline PreparedCampaign CanonicalCampaign() {
-  return PrepareCampaign(CanonicalOptions(Strategy::kSInsPair, 0, 1));
+// The canonical prepared campaign, with its S-INS-PAIR test list cut at `budget`.
+inline PreparedCampaign CanonicalCampaign(size_t budget = 0) {
+  return PrepareCampaign(CanonicalOptions(Strategy::kSInsPair, budget, 1));
+}
+
+// Seeds for re-running strategies over one prepared corpus and PMC table (the paper runs
+// every strategy against one profiled corpus): the engine skips fuzzing and profiling
+// and generates each strategy's own test list.
+inline CampaignSeeds CorpusAndPmcSeeds(const PreparedCampaign& campaign) {
+  CampaignSeeds seeds;
+  seeds.corpus = campaign.corpus;
+  seeds.pmcs = campaign.pmcs;
+  return seeds;
 }
 
 // Finds the Figure 1 l2tp publish PMC in an identified set; returns false if absent.

@@ -40,8 +40,7 @@ int Run() {
 
   // Phase 1: run a campaign and harvest bug-triggering tests (one per issue).
   PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 400, 4);
-  PreparedCampaign campaign = PrepareCampaign(options);
-  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, nullptr);
+  const std::vector<ConcurrentTest> tests = PrepareCampaign(options).tests;
 
   std::vector<BugTest> bug_tests;
   {

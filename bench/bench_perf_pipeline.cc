@@ -22,15 +22,12 @@
 namespace snowboard {
 namespace {
 
+// The canonical campaign with its first 64 S-INS-PAIR tests (the execution-throughput
+// benches' test list).
 const PreparedCampaign& Campaign() {
   static const PreparedCampaign* campaign =
-      new PreparedCampaign(bench::CanonicalCampaign());
+      new PreparedCampaign(bench::CanonicalCampaign(/*budget=*/64));
   return *campaign;
-}
-
-std::vector<ConcurrentTest> HintedTests(size_t count) {
-  PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, count, 1);
-  return GenerateTestsForStrategy(Campaign(), options, nullptr);
 }
 
 // --- Stage benchmarks. ---
@@ -121,35 +118,28 @@ void BM_ConcurrentTestGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentTestGeneration)->UseRealTime();
 
-// --- End-to-end engine A/B: streaming vs strict barriers. ---
+// --- End-to-end campaign. ---
 
-// Full RunSnowboardPipeline wall clock under both campaign engines at several worker
-// counts. The determinism harness proves the serialized results are byte-identical; this
-// measures what streaming buys: profiles fold into PMC identification while the profile
-// tail runs, and exploration overlaps the remaining preparation, so idle-at-the-barrier
-// time turns into useful work. At 1 worker the engines should tie (same work, same order);
-// the gap should appear (and streaming must not lose) at 4 workers.
+// Full RunSnowboardPipeline wall clock at 1 and 4 workers: fuzzing, profiling folded into
+// PMC identification as profiles complete, clustering, and exploration overlapping the
+// remaining preparation. The determinism harness proves the serialized results are
+// byte-identical at both points; this measures what the extra workers buy.
 void BM_PipelineEndToEnd(benchmark::State& state) {
-  bool streaming = state.range(0) != 0;
-  int workers = static_cast<int>(state.range(1));
+  int workers = static_cast<int>(state.range(0));
   uint64_t trials = 0;
   for (auto _ : state) {
     PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 48, workers);
-    options.streaming = streaming;
     PipelineResult result = RunSnowboardPipeline(options);
     trials += result.total_trials;
     benchmark::DoNotOptimize(result);
   }
   state.counters["trials"] =
       benchmark::Counter(static_cast<double>(trials), benchmark::Counter::kAvgIterations);
-  state.SetLabel(std::string(streaming ? "streaming" : "barrier") + " engine, " +
-                 std::to_string(workers) + " worker(s)");
+  state.SetLabel(std::to_string(workers) + " worker(s)");
 }
 BENCHMARK(BM_PipelineEndToEnd)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -157,8 +147,7 @@ BENCHMARK(BM_PipelineEndToEnd)
 
 void BM_ExecutionThroughputSnowboard(benchmark::State& state) {
   KernelVm vm;
-  static const std::vector<ConcurrentTest>* tests =
-      new std::vector<ConcurrentTest>(HintedTests(64));
+  static const std::vector<ConcurrentTest>* tests = &Campaign().tests;
   ExplorerOptions options;
   options.num_trials = 4;
   options.adopt_incidental = false;
@@ -177,8 +166,7 @@ BENCHMARK(BM_ExecutionThroughputSnowboard)->UseRealTime();
 
 void BM_ExecutionThroughputSki(benchmark::State& state) {
   KernelVm vm;
-  static const std::vector<ConcurrentTest>* tests =
-      new std::vector<ConcurrentTest>(HintedTests(64));
+  static const std::vector<ConcurrentTest>* tests = &Campaign().tests;
   ExplorerOptions options;
   options.num_trials = 4;
   size_t executions = 0;

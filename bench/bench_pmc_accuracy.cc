@@ -22,24 +22,16 @@ int Run() {
 
   PreparedCampaign campaign =
       PrepareCampaign(bench::CanonicalOptions(Strategy::kSInsPair, kPmcBudget, 4));
-  PmcMatcher matcher(&campaign.pmcs);
+  const CampaignSeeds seeds = bench::CorpusAndPmcSeeds(campaign);
 
   // PMC-generated inputs (prioritized by S-INS-PAIR, as the paper's mix was).
-  PipelineOptions pmc_options = bench::CanonicalOptions(Strategy::kSInsPair, kPmcBudget, 4);
-  size_t clusters = 0;
-  std::vector<ConcurrentTest> pmc_tests =
-      GenerateTestsForStrategy(campaign, pmc_options, &clusters);
-  PipelineResult pmc_result;
-  ExecuteCampaign(pmc_tests, /*use_pmc_hints=*/true, &matcher, pmc_options, &pmc_result);
+  PipelineResult pmc_result = RunSnowboardPipeline(
+      bench::CanonicalOptions(Strategy::kSInsPair, kPmcBudget, 4), seeds);
 
   // Baseline inputs (Random + Duplicate pairing): no PMC, so by definition they exercise
   // no *predicted* channel.
-  PipelineOptions random_options =
-      bench::CanonicalOptions(Strategy::kRandomPairing, kBaselineBudget, 4);
-  std::vector<ConcurrentTest> random_tests =
-      GenerateTestsForStrategy(campaign, random_options, nullptr);
-  PipelineResult random_result;
-  ExecuteCampaign(random_tests, false, nullptr, random_options, &random_result);
+  PipelineResult random_result = RunSnowboardPipeline(
+      bench::CanonicalOptions(Strategy::kRandomPairing, kBaselineBudget, 4), seeds);
 
   size_t total_tested = pmc_result.tests_executed + random_result.tests_executed;
   size_t total_exercised = pmc_result.channel_exercised;

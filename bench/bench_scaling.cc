@@ -2,7 +2,8 @@
 //
 // Measures the steady-state concurrent-test execution stage — the loop the paper runs for
 // 10 days on a 32-VM fleet — at 1/2/4/8 workers over a fixed prepared campaign, and
-// reports, per point:
+// reports, per point (each iteration is one RunSnowboardPipeline call on the default
+// engine, seeded with the prepared PMC table and test list so that only exploration runs):
 //   * trials_per_sec        — wall-clock trials/s of this run: a kIsRate counter under
 //                             UseManualTime(), which google-benchmark divides by the
 //                             steady_clock time each iteration reports (never CPU time).
@@ -53,21 +54,15 @@ double CpuSeconds() {
 
 // The campaign is prepared once (corpus, profiles, PMC table, test list); every scaling
 // point executes the SAME test list, so the points differ only in worker count.
-struct ScalingFixture {
-  PreparedCampaign campaign;
-  std::vector<ConcurrentTest> tests;
-};
-
-ScalingFixture& Fixture() {
-  static ScalingFixture* fixture = [] {
-    auto* f = new ScalingFixture();
-    f->campaign = bench::CanonicalCampaign();
-    PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, kTestBudget, 1);
-    size_t clusters = 0;
-    f->tests = GenerateTestsForStrategy(f->campaign, options, &clusters);
-    return f;
+const CampaignSeeds& Seeds() {
+  static const CampaignSeeds* seeds = [] {
+    PreparedCampaign campaign = bench::CanonicalCampaign(kTestBudget);
+    auto* s = new CampaignSeeds();
+    s->pmcs = std::move(campaign.pmcs);
+    s->tests = std::move(campaign.tests);
+    return s;
   }();
-  return *fixture;
+  return *seeds;
 }
 
 double& OneWorkerCpuPerTrial() {
@@ -77,18 +72,16 @@ double& OneWorkerCpuPerTrial() {
 
 void BM_ExploreScaling(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
-  ScalingFixture& fixture = Fixture();
+  const CampaignSeeds& seeds = Seeds();
   PipelineOptions options =
       bench::CanonicalOptions(Strategy::kSInsPair, kTestBudget, workers);
-  PmcMatcher matcher(&fixture.campaign.pmcs);
 
   uint64_t trials = 0;
   double cpu_seconds = 0;
   for (auto _ : state) {
-    PipelineResult result;
     double cpu_start = CpuSeconds();
     auto wall_start = std::chrono::steady_clock::now();
-    ExecuteCampaign(fixture.tests, /*use_pmc_hints=*/true, &matcher, options, &result);
+    PipelineResult result = RunSnowboardPipeline(options, seeds);
     state.SetIterationTime(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                          wall_start)
                                .count());

@@ -16,8 +16,7 @@ int Run() {
 
   // Stages 1-2 once.
   PipelineOptions base = bench::CanonicalOptions(Strategy::kSInsPair, 120, 4);
-  PreparedCampaign campaign = PrepareCampaign(base);
-  PmcMatcher matcher(&campaign.pmcs);
+  const CampaignSeeds seeds = bench::CorpusAndPmcSeeds(PrepareCampaign(base));
 
   // Iterate strategies with a per-strategy budget, merging findings (§4.3: "this approach
   // can be applied iteratively: choose predicate A, test one exemplar from each A-cluster,
@@ -32,10 +31,7 @@ int Run() {
   for (Strategy strategy : kCombined) {
     PipelineOptions options = base;
     options.strategy = strategy;
-    size_t clusters = 0;
-    std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
-    PipelineResult stage;
-    ExecuteCampaign(tests, /*use_pmc_hints=*/true, &matcher, options, &stage);
+    PipelineResult stage = RunSnowboardPipeline(options, seeds);
     // Shift test indices so "first found" is cumulative across the battery.
     FindingsLog shifted;
     for (const auto& [id, finding] : stage.findings.first_findings()) {

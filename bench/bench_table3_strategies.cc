@@ -27,9 +27,8 @@ int Run() {
               "issues found (first-test index)");
 
   // Shared stages 1-2, as in the paper (one profiling pass feeds all instances).
-  PreparedCampaign campaign =
-      PrepareCampaign(bench::CanonicalOptions(Strategy::kSInsPair, kBudget, 4));
-  PmcMatcher matcher(&campaign.pmcs);
+  const CampaignSeeds seeds = bench::CorpusAndPmcSeeds(
+      PrepareCampaign(bench::CanonicalOptions(Strategy::kSInsPair, kBudget, 4)));
 
   size_t ins_pair_issues = 0;
   size_t random_ins_pair_issues = 0;
@@ -37,12 +36,8 @@ int Run() {
   size_t sfull_issues = 0;
 
   for (Strategy strategy : kMethods) {
-    PipelineOptions options = bench::CanonicalOptions(strategy, kBudget, 4);
-    size_t clusters = 0;
-    std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
-    PipelineResult result;
-    ExecuteCampaign(tests, StrategyUsesPmcs(strategy),
-                    StrategyUsesPmcs(strategy) ? &matcher : nullptr, options, &result);
+    PipelineResult result =
+        RunSnowboardPipeline(bench::CanonicalOptions(strategy, kBudget, 4), seeds);
 
     std::string found;
     size_t issues = 0;
@@ -65,7 +60,7 @@ int Run() {
       sfull_issues = issues;
     }
     std::printf("%-19s %10zu %8zu %7zu  %s\n", StrategyName(strategy),
-                StrategyUsesPmcs(strategy) ? clusters : 0, result.tests_executed, issues,
+                result.cluster_count, result.tests_executed, issues,
                 found.c_str());
   }
 

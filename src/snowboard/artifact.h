@@ -1,73 +1,33 @@
-// Typed campaign artifacts and the stage runner.
+// Typed campaign artifacts: the checkpoint side of every pipeline stage.
 //
 // Every pipeline stage produces one artifact (corpus, profiles, PMC table, test list,
-// final result) and — before this abstraction existed — hand-rolled the same sequence five
-// times in pipeline.cc: open a TRACE_SPAN, start a stage timer and a snapshot-restore
-// counter delta, try to load the artifact from the checkpoint store (verify + staleness
-// check), otherwise compute it, persist it unless an injected crash already fired, then
-// record wall-clock and funnel counters. A StageDef<T> states those ingredients once,
-// declaratively; StageRunner supplies the mechanics.
-//
-// Two entry points, because the two engines consume stages differently:
-//   * StageRunner::Run(def) — the barrier engine's load-or-compute-then-persist in one
-//     call, returning an Artifact<T> with provenance and timing.
-//   * StageRunner::TryLoad / Persist — the streaming engine resolves loads up front on the
-//     coordinator thread and persists from whichever pool worker completes a stage, so it
-//     composes the same pieces around its own scheduling (see pipeline.cc).
-// Either way there is exactly one implementation of verify-load, staleness-gating,
-// dead-process suppression, and funnel accounting.
+// final result). A StageDef<T> states, once per stage, how that artifact round-trips
+// through the checkpoint store: its entry name, its serializer, and the staleness gate a
+// loaded value must pass. StageRunner supplies the mechanics. The campaign engine
+// (pipeline.cc) resolves loads up front on the coordinator thread (TryLoad) and persists
+// from whichever pool worker completes a stage (Persist), so there is exactly one
+// implementation of verify-load, staleness-gating, and dead-process suppression.
 #ifndef SRC_SNOWBOARD_ARTIFACT_H_
 #define SRC_SNOWBOARD_ARTIFACT_H_
 
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "src/snowboard/checkpoint.h"
-#include "src/util/counters.h"
 #include "src/util/fault.h"
-#include "src/util/trace.h"
 
 namespace snowboard {
 
-// A resolved stage output plus its provenance and cost.
-template <typename T>
-struct Artifact {
-  T value{};
-  bool from_checkpoint = false;  // Loaded (verified) instead of computed.
-  double seconds = 0;            // Wall-clock spent resolving the artifact.
-  double restore_seconds = 0;    // Snapshot-restore share of `seconds` (counter delta).
-};
-
-// Declarative description of one stage. `compute` may be empty when the caller drives
-// computation itself (streaming engine); `entry` may be empty for never-persisted stages.
+// Checkpoint description of one stage's artifact.
 template <typename T>
 struct StageDef {
-  const char* span = nullptr;  // TRACE_SPAN name; static-duration string (literal).
-  std::string entry;           // Checkpoint entry name; "" = not checkpointed.
+  std::string entry;  // Checkpoint entry name; "" = not checkpointed.
   std::function<std::string(const T&)> serialize;
   std::function<std::optional<T>(const std::string&)> deserialize;
   // Staleness gate for loaded values (e.g. a profile set whose size no longer matches the
   // corpus is stale, not corrupt). Empty = any verified load is acceptable.
   std::function<bool(const T&)> validate;
-  std::function<T()> compute;
-  // Funnel telemetry: emitted as TRACE_COUNTER(funnel, funnel_value(value)) when set.
-  const char* funnel = nullptr;
-  std::function<uint64_t(const T&)> funnel_value;
-};
-
-// Stage timer: wall clock + the process-wide snapshot-restore counter delta, the two cost
-// figures every stage reports.
-class StageTimer {
- public:
-  StageTimer();
-  double Seconds() const;
-  double RestoreSeconds() const;
-
- private:
-  uint64_t start_nanos_;          // steady_clock, as nanos.
-  uint64_t restore_nanos_before_;
 };
 
 class StageRunner {
@@ -87,24 +47,19 @@ class StageRunner {
 
   // Verified checkpoint load: entry present, deserializes, and passes the staleness gate.
   template <typename T>
-  bool TryLoad(const StageDef<T>& def, Artifact<T>* out) const {
+  std::optional<T> TryLoad(const StageDef<T>& def) const {
     if (store_ == nullptr || !resume_ || def.entry.empty()) {
-      return false;
+      return std::nullopt;
     }
     std::optional<std::string> text = store_->Get(def.entry);
     if (!text.has_value()) {
-      return false;
+      return std::nullopt;
     }
     std::optional<T> value = def.deserialize(*text);
-    if (!value.has_value()) {
-      return false;
+    if (value.has_value() && def.validate && !def.validate(*value)) {
+      return std::nullopt;
     }
-    if (def.validate && !def.validate(*value)) {
-      return false;
-    }
-    out->value = std::move(*value);
-    out->from_checkpoint = true;
-    return true;
+    return value;
   }
 
   // Commits the artifact unless the stage is unpersisted or the process is already dead
@@ -115,24 +70,6 @@ class StageRunner {
       return;
     }
     store_->Put(def.entry, def.serialize(value));
-  }
-
-  // Barrier-engine resolution: span + timing around load-or-compute-then-persist.
-  template <typename T>
-  Artifact<T> Run(const StageDef<T>& def) const {
-    TraceSpan span(def.span);
-    StageTimer timer;
-    Artifact<T> artifact;
-    if (!TryLoad(def, &artifact)) {
-      artifact.value = def.compute();
-      Persist(def, artifact.value);
-    }
-    artifact.seconds = timer.Seconds();
-    artifact.restore_seconds = timer.RestoreSeconds();
-    if (def.funnel != nullptr && def.funnel_value) {
-      TRACE_COUNTER(def.funnel, def.funnel_value(artifact.value));
-    }
-    return artifact;
   }
 
  private:

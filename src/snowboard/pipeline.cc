@@ -148,12 +148,11 @@ std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
   return store;
 }
 
-// Hash of every option that shapes the pipeline's deterministic outputs. num_workers, the
-// streaming/barrier engine choice, checkpointing, and fault injection are deliberately
-// excluded: a campaign may be resumed with a different worker count or under the other
-// engine (the determinism invariant guarantees identical results), but any fingerprint
-// mismatch means the directory's artifacts answer a different question and must be
-// discarded.
+// Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
+// checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
+// with a different worker count (the determinism invariant guarantees identical results),
+// but any fingerprint mismatch means the directory's artifacts answer a different question
+// and must be discarded.
 uint64_t OptionsFingerprint(const PipelineOptions& o) {
   return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
                  o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
@@ -172,7 +171,7 @@ int IdentifyWorkers(const PipelineOptions& options) {
   return options.pmc.num_workers > 0 ? options.pmc.num_workers : options.ResolvedWorkers();
 }
 
-// --- Raw stage computations (shared verbatim by both engines) ---------------------------
+// --- Raw stage computations (shared by the engine and PrepareCampaign) ------------------
 
 // Corpus construction: admission is a serial fold over the shared coverage map (each admit
 // changes what counts as fresh for every later candidate), so it runs on one VM.
@@ -207,29 +206,16 @@ SerializedTests ComputeTests(const std::vector<Program>& corpus,
 
 // --- Stage definitions (artifact.h) -----------------------------------------------------
 
-StageDef<std::vector<Program>> CorpusStageDef(const PipelineOptions& options) {
+StageDef<std::vector<Program>> CorpusStageDef() {
   StageDef<std::vector<Program>> def;
-  def.span = "stage.corpus";
   def.entry = "corpus";
   def.serialize = [](const std::vector<Program>& corpus) { return SerializeCorpus(corpus); };
   def.deserialize = [](const std::string& text) { return DeserializeCorpus(text); };
-  def.funnel = "funnel.corpus_programs";
-  def.funnel_value = [](const std::vector<Program>& corpus) { return corpus.size(); };
-  def.compute = [&options]() {
-    // One pool worker supplies the VM (reused across stages rather than booted here).
-    std::vector<Program> corpus;
-    WorkerPool::Global().Run(1, [&](PoolWorker& worker) {
-      corpus = ComputeCorpus(PoolWorkerVm(worker), options);
-    });
-    return corpus;
-  };
   return def;
 }
 
-StageDef<std::vector<SequentialProfile>> ProfilesStageDef(
-    const PipelineOptions& options, const std::vector<Program>& corpus) {
+StageDef<std::vector<SequentialProfile>> ProfilesStageDef(const std::vector<Program>& corpus) {
   StageDef<std::vector<SequentialProfile>> def;
-  def.span = "stage.profile";
   def.entry = "profiles";
   def.serialize = [](const std::vector<SequentialProfile>& profiles) {
     return SerializeProfiles(profiles);
@@ -239,56 +225,36 @@ StageDef<std::vector<SequentialProfile>> ProfilesStageDef(
   def.validate = [&corpus](const std::vector<SequentialProfile>& profiles) {
     return profiles.size() == corpus.size();
   };
-  def.compute = [&options, &corpus]() {
-    ProfileOptions profile_options;
-    profile_options.num_workers = options.ResolvedWorkers();
-    profile_options.cache = options.profile_cache;
-    return ProfileCorpusParallel(corpus, profile_options);
-  };
   return def;
 }
 
-StageDef<std::vector<Pmc>> PmcsStageDef(const PipelineOptions& options,
-                                        const std::vector<SequentialProfile>& profiles) {
+StageDef<std::vector<Pmc>> PmcsStageDef() {
   StageDef<std::vector<Pmc>> def;
-  def.span = "stage.identify";
   def.entry = "pmcs";
   def.serialize = [](const std::vector<Pmc>& pmcs) { return SerializePmcs(pmcs); };
   def.deserialize = [](const std::string& text) { return DeserializePmcs(text); };
-  def.funnel = "funnel.pmcs_identified";
-  def.funnel_value = [](const std::vector<Pmc>& pmcs) { return pmcs.size(); };
-  def.compute = [&options, &profiles]() {
-    PmcIdentifyOptions pmc_options = options.pmc;
-    pmc_options.num_workers = IdentifyWorkers(options);
-    return IdentifyPmcs(profiles, pmc_options);
-  };
   return def;
 }
 
-StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options,
-                                        const std::vector<Program>& corpus,
-                                        const std::vector<Pmc>& pmcs) {
+StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options) {
   StageDef<SerializedTests> def;
-  def.span = "stage.cluster";
   def.entry = std::string("tests.") + StrategyToken(options.strategy);
   def.serialize = [](const SerializedTests& tests) {
     return SerializeConcurrentTests(tests.tests, tests.cluster_count);
   };
   def.deserialize = [](const std::string& text) { return DeserializeConcurrentTests(text); };
-  def.compute = [&options, &corpus, &pmcs]() { return ComputeTests(corpus, pmcs, options); };
   return def;
 }
 
 StageDef<PipelineResult> ResultStageDef(const PipelineOptions& options) {
   StageDef<PipelineResult> def;
-  def.span = "stage.result";
   def.entry = std::string("result.") + StrategyToken(options.strategy);
   def.serialize = [](const PipelineResult& result) { return SerializePipelineResult(result); };
   def.deserialize = [](const std::string& text) { return DeserializePipelineResult(text); };
   return def;
 }
 
-// --- Execution helpers (shared by both engines) -----------------------------------------
+// --- Execution helpers -----------------------------------------------------------------
 
 // Pre-parses the execution journal into a by-index replay table. A record whose test index
 // is outside the current test list cannot belong to this campaign's tests (a mismatched
@@ -323,13 +289,13 @@ std::vector<std::optional<OutcomeRecord>> BuildJournalTable(const StageRunner& r
   return journaled;
 }
 
-// Executes one live (non-journaled) concurrent test on `vm` and journals its outcome.
-// Returns nullopt when an injected crash fired mid-test or at the journal append: the
-// record then "never existed" in this process and only the on-disk journal decides what
-// survived.
+// Executes one live (non-journaled) concurrent test on `vm` and journals its outcome. PMC
+// strategies run Algorithm 2 over `matcher`; the pairing baselines (null matcher) run the
+// random-preemption scheduler. Returns nullopt when an injected crash fired mid-test or at
+// the journal append: the record then "never existed" in this process and only the
+// on-disk journal decides what survived.
 std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTest& test,
-                                               size_t index, bool use_pmc_hints,
-                                               const PmcMatcher* matcher,
+                                               size_t index, const PmcMatcher* matcher,
                                                const PipelineOptions& options,
                                                const StageRunner& runner,
                                                const std::string& journal_name) {
@@ -340,7 +306,7 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
   // worker runs the test and in what order.
   explorer.seed = options.explorer.seed + index * 1000003ull;
   explorer.fault = runner.fault();
-  if (use_pmc_hints) {
+  if (matcher != nullptr) {
     record.outcome = ExploreConcurrentTest(vm, test, matcher, explorer);
   } else {
     RandomPreemptScheduler scheduler;
@@ -363,9 +329,9 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
 
 // Folds per-test outcome slots into the result in test-index order. FindingsLog::Record
 // keeps the lowest-test-index finding per issue, so this fold lands on the same final
-// state as any merge order — which is what makes the fold byte-identical between the
-// barrier and streaming engines and across worker counts. Empty slots (tests never run
-// because an injected crash fired first) are skipped.
+// state as any merge order — which is what makes the fold byte-identical across worker
+// counts and claim orders. Empty slots (tests never run because an injected crash fired
+// first) are skipped.
 void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcomes,
                          const std::vector<uint8_t>& resumed, PipelineResult* result) {
   for (size_t i = 0; i < outcomes.size(); i++) {
@@ -400,46 +366,6 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
   }
 }
 
-// One explore slot: journal replay or live execution. Writes only slot `index` of
-// `outcomes`/`resumed` (slot-exclusive, so no locking). Returns false when an injected
-// crash consumed the test. `feedback` (optional) receives the test's saturation verdict —
-// journaled replays feed it too, so a resumed campaign rebuilds the same deprioritization
-// state without re-executing anything.
-bool ExploreOneSlot(PoolWorker& worker, const std::vector<ConcurrentTest>& tests,
-                    size_t index, bool use_pmc_hints, const PmcMatcher* matcher,
-                    const PipelineOptions& options, const StageRunner& runner,
-                    const std::string& journal_name,
-                    const std::vector<std::optional<OutcomeRecord>>& journaled,
-                    std::vector<std::optional<OutcomeRecord>>* outcomes,
-                    std::vector<uint8_t>* resumed,
-                    ClusterPriorityTracker* feedback = nullptr) {
-  TRACE_SPAN("explore.test", index);
-  if (journaled[index].has_value()) {
-    // Replayed from the journal: no VM involved (a fully journaled resume therefore
-    // never boots one).
-    (*outcomes)[index] = journaled[index];
-    (*resumed)[index] = 1;
-    ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
-    if (feedback != nullptr) {
-      feedback->RecordOutcome(TestFeedbackGroup(tests[index]),
-                              (*outcomes)[index]->outcome.saturated);
-    }
-    return true;
-  }
-  std::optional<OutcomeRecord> record =
-      RunOneExploreTest(PoolWorkerVm(worker), tests[index], index, use_pmc_hints, matcher,
-                        options, runner, journal_name);
-  if (!record.has_value()) {
-    return false;
-  }
-  (*outcomes)[index] = std::move(*record);
-  if (feedback != nullptr) {
-    feedback->RecordOutcome(TestFeedbackGroup(tests[index]),
-                            (*outcomes)[index]->outcome.saturated);
-  }
-  return true;
-}
-
 // --- Streaming engine -------------------------------------------------------------------
 
 // Runs the whole campaign as one pool job over a dependency DAG of work items instead of a
@@ -456,21 +382,29 @@ bool ExploreOneSlot(PoolWorker& worker, const std::vector<ConcurrentTest>& tests
 // list (and, for PMC strategies, the matcher) resolves — for the pairing baselines and for
 // resumes whose test list is checkpointed, that genuinely overlaps the profile tail.
 //
-// Determinism: every ordered computation is pinned to the same order the barrier engine
-// uses — profiles fold strictly in corpus-index order (single folder at a time, advancing
-// over the completed prefix), partition scans write partition-exclusive slices merged in
-// partition order, and explore outcomes land in per-test slots folded in index order. The
-// scheduling freedom the DAG adds therefore never reaches a deterministic output, which is
-// what the streaming-vs-barrier A/B in pipeline_determinism_test locks in.
+// Before any worker starts, the DAG begins from the furthest resolved frontier: artifacts
+// the caller seeded (CampaignSeeds) or, without seeds, artifacts loaded from the
+// checkpoint. Both enter through the same ...ResolvedLocked transitions a computed
+// artifact takes, so the claim loop never distinguishes them.
+//
+// Determinism: every ordered computation is pinned to the sequential order — profiles fold
+// strictly in corpus-index order (single folder at a time, advancing over the completed
+// prefix; the AddProfile order of the batch IdentifyPmcs), partition scans write
+// partition-exclusive slices merged in partition order, and explore outcomes land in
+// per-test slots folded in index order. The scheduling freedom the DAG adds therefore
+// never reaches a deterministic output, which is what the worker-count matrices in
+// pipeline_determinism_test lock in.
 //
 // Fault injection: claiming a pre-explore item passes the "pool.claim" fault point,
-// claiming an explore item passes "execute.claim" (same site as the barrier engine), and
-// explorer trials pass their own sites inside the explorer. An injected crash flips
-// `crashed_`; every worker unwinds at its next claim, exactly as a SIGKILL would.
+// claiming an explore item passes "execute.claim", and explorer trials pass their own
+// sites inside the explorer. An injected crash flips `crashed_`; every worker unwinds at
+// its next claim, exactly as a SIGKILL would.
 class StreamingEngine {
  public:
-  StreamingEngine(const PipelineOptions& options, CheckpointStore* store)
+  StreamingEngine(const PipelineOptions& options, const CampaignSeeds& seeds,
+                  CheckpointStore* store)
       : options_(options),
+        seeds_(seeds),
         runner_(store, options.fault, options.resume),
         use_pmc_(StrategyUsesPmcs(options.strategy)),
         journal_name_(std::string("execute.") + StrategyToken(options.strategy)),
@@ -482,7 +416,11 @@ class StreamingEngine {
     t_corpus_ = t_profiles_ = t_pmcs_ = t_tests_ = t_start_;
     restore_mark_corpus_ = restore_mark_profiles_ = restore_mark_tests_ = RestoreNanos();
 
-    ResolveFromCheckpoint();
+    if (seeds_.empty()) {
+      ResolveFromCheckpoint();
+    } else {
+      ResolveFromSeeds();
+    }
     bool all_done;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -525,36 +463,53 @@ class StreamingEngine {
   // starts, so the DAG begins from the furthest checkpointed frontier.
   void ResolveFromCheckpoint() {
     std::lock_guard<std::mutex> lock(mu_);
-    Artifact<std::vector<Program>> corpus;
-    if (runner_.TryLoad(CorpusStageDef(options_), &corpus)) {
-      corpus_ = std::move(corpus.value);
-      corpus_loaded_ = true;
+    if (std::optional<std::vector<Program>> corpus = runner_.TryLoad(CorpusStageDef())) {
+      corpus_ = std::move(*corpus);
       CorpusResolvedLocked();
-    }
-    if (corpus_loaded_) {
       // Profiles are only trusted against a loaded corpus (their staleness gate needs the
       // exact corpus they were computed from).
-      Artifact<std::vector<SequentialProfile>> profiles;
-      if (runner_.TryLoad(ProfilesStageDef(options_, corpus_), &profiles)) {
-        profiles_ = std::move(profiles.value);
+      if (std::optional<std::vector<SequentialProfile>> profiles =
+              runner_.TryLoad(ProfilesStageDef(corpus_))) {
+        profiles_ = std::move(*profiles);
         profiles_loaded_ = true;
         profile_next_ = profiles_.size();
         std::fill(profile_done_.begin(), profile_done_.end(), uint8_t{1});
       }
     }
-    Artifact<std::vector<Pmc>> pmcs;
-    if (runner_.TryLoad(PmcsStageDef(options_, profiles_), &pmcs)) {
-      pmcs_ = std::move(pmcs.value);
-      pmcs_loaded_ = true;
+    if (std::optional<std::vector<Pmc>> pmcs = runner_.TryLoad(PmcsStageDef())) {
+      pmcs_ = std::move(*pmcs);
       // The identified table is settled: profiles (loaded or recomputed) only feed stats,
       // so the fold machinery runs but skips the accumulator.
       fold_into_accumulator_ = false;
       PmcsResolvedLocked();
     }
-    Artifact<SerializedTests> tests;
-    if (runner_.TryLoad(TestsStageDef(options_, corpus_, pmcs_), &tests)) {
-      tests_loaded_ = true;
-      TestsResolvedLocked(std::move(tests.value));
+    if (std::optional<SerializedTests> tests = runner_.TryLoad(TestsStageDef(options_))) {
+      TestsResolvedLocked(std::move(*tests));
+    }
+  }
+
+  // Up-front seed resolution (CampaignSeeds): a seeded artifact resolves its stage, and a
+  // stage that feeds only seeded artifacts resolves empty without running.
+  void ResolveFromSeeds() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (seeds_.pmcs.has_value()) {
+      // No profiling and no identification: the profile stage completes empty, before the
+      // corpus resolves so that no profile slots are ever opened.
+      profiles_complete_ = true;
+      fold_into_accumulator_ = false;
+    }
+    if (seeds_.corpus.has_value() || (seeds_.pmcs.has_value() && seeds_.tests.has_value())) {
+      if (seeds_.corpus.has_value()) {
+        corpus_ = *seeds_.corpus;
+      }
+      CorpusResolvedLocked();
+    }
+    if (seeds_.pmcs.has_value()) {
+      pmcs_ = *seeds_.pmcs;
+      PmcsResolvedLocked();
+    }
+    if (seeds_.tests.has_value()) {
+      TestsResolvedLocked(SerializedTests{*seeds_.tests, 0});
     }
   }
 
@@ -577,12 +532,12 @@ class StreamingEngine {
         continue;
       }
       lock.unlock();
-      // Claiming real work is a kill point: "execute.claim" for concurrent tests (the same
-      // site the barrier engine fires), "pool.claim" for the pre-explore stages. The
-      // coordination items (fold / finish / merge) are deliberately NOT fault points: how
-      // many times they are claimed depends on thread timing, and the crash-sweep harness
-      // needs the campaign's total fault-point count to be deterministic. Their crash
-      // coverage comes from the fs.commit points inside the artifacts they persist.
+      // Claiming real work is a kill point: "execute.claim" for concurrent tests,
+      // "pool.claim" for the pre-explore stages. The coordination items (fold / finish /
+      // merge) are deliberately NOT fault points: how many times they are claimed depends
+      // on thread timing, and the crash-sweep harness needs the campaign's total
+      // fault-point count to be deterministic. Their crash coverage comes from the
+      // fs.commit points inside the artifacts they persist.
       FaultInjector* fault = runner_.fault();
       bool countable_claim = item.kind == Kind::kCorpus || item.kind == Kind::kProfile ||
                              item.kind == Kind::kScan || item.kind == Kind::kGenerate ||
@@ -664,15 +619,42 @@ class StreamingEngine {
       CrashOut();
       return false;
     }
-    if (!ExploreOneSlot(worker, tests_, index, use_pmc_,
-                        matcher_.has_value() ? &*matcher_ : nullptr, options_, runner_,
-                        journal_name_, journaled_, &outcomes_, &resumed_,
-                        feedback ? &feedback_ : nullptr)) {
+    if (!ExploreSlot(worker, index, feedback)) {
       CrashOut();
       return false;
     }
     explores_done_.fetch_add(1, std::memory_order_relaxed);
     FlushCounterShard();  // Item boundary, as in the locked loop.
+    return true;
+  }
+
+  // One explore slot: journal replay or live execution. Writes only slot `index` of
+  // outcomes_/resumed_ (slot-exclusive, so no locking). Returns false when an injected
+  // crash consumed the test. With `feedback`, the test's saturation verdict feeds the
+  // cluster-priority tracker — journaled replays feed it too, so a resumed campaign
+  // rebuilds the same deprioritization state without re-executing anything.
+  bool ExploreSlot(PoolWorker& worker, size_t index, bool feedback) {
+    TRACE_SPAN("explore.test", index);
+    if (journaled_[index].has_value()) {
+      // Replayed from the journal: no VM involved (a fully journaled resume therefore
+      // never boots one).
+      outcomes_[index] = journaled_[index];
+      resumed_[index] = 1;
+      ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      std::optional<OutcomeRecord> record =
+          RunOneExploreTest(PoolWorkerVm(worker), tests_[index], index,
+                            matcher_.has_value() ? &*matcher_ : nullptr, options_, runner_,
+                            journal_name_);
+      if (!record.has_value()) {
+        return false;
+      }
+      outcomes_[index] = std::move(*record);
+    }
+    if (feedback) {
+      feedback_.RecordOutcome(TestFeedbackGroup(tests_[index]),
+                              outcomes_[index]->outcome.saturated);
+    }
     return true;
   }
 
@@ -728,7 +710,7 @@ class StreamingEngine {
     if (scan_ready_ && scan_next_ < num_partitions_) {
       return {Kind::kScan, scan_next_++};
     }
-    if (corpus_done_ && !profiles_loaded_ && profile_next_ < corpus_.size()) {
+    if (corpus_done_ && profile_next_ < profiles_.size()) {
       return {Kind::kProfile, profile_next_++};
     }
     if (tests_ready_) {
@@ -770,10 +752,16 @@ class StreamingEngine {
   // Caller holds mu_. Sizes the profile plumbing and stamps the corpus event.
   void CorpusResolvedLocked() {
     corpus_done_ = true;
-    profiles_.resize(corpus_.size());
-    profile_done_.assign(corpus_.size(), 0);
     t_corpus_ = std::chrono::steady_clock::now();
     restore_mark_corpus_ = RestoreNanos();
+    if (profiles_complete_) {
+      // Seeded PMCs: the skipped profile stage completes with the corpus.
+      t_profiles_ = t_corpus_;
+      restore_mark_profiles_ = restore_mark_corpus_;
+    } else {
+      profiles_.resize(corpus_.size());
+      profile_done_.assign(corpus_.size(), 0);
+    }
     TRACE_COUNTER("funnel.corpus_programs", corpus_.size());
     UpdateExploreOnlyLocked();
     cv_.notify_all();
@@ -781,7 +769,7 @@ class StreamingEngine {
 
   bool ExecuteCorpus(PoolWorker& worker) {
     std::vector<Program> corpus = ComputeCorpus(PoolWorkerVm(worker), options_);
-    runner_.Persist(CorpusStageDef(options_), corpus);
+    runner_.Persist(CorpusStageDef(), corpus);
     if (runner_.dead()) {
       return false;
     }
@@ -830,7 +818,7 @@ class StreamingEngine {
 
   bool ExecuteFinishProfiles() {
     if (!profiles_loaded_) {
-      runner_.Persist(ProfilesStageDef(options_, corpus_), profiles_);
+      runner_.Persist(ProfilesStageDef(corpus_), profiles_);
       if (runner_.dead()) {
         return false;
       }
@@ -871,7 +859,7 @@ class StreamingEngine {
 
   bool ExecuteMergePmcs() {
     std::vector<Pmc> pmcs = accumulator_.Merge();
-    runner_.Persist(PmcsStageDef(options_, profiles_), pmcs);
+    runner_.Persist(PmcsStageDef(), pmcs);
     if (runner_.dead()) {
       return false;
     }
@@ -912,7 +900,7 @@ class StreamingEngine {
 
   bool ExecuteGenerate() {
     SerializedTests tests = ComputeTests(corpus_, pmcs_, options_);
-    runner_.Persist(TestsStageDef(options_, corpus_, pmcs_), tests);
+    runner_.Persist(TestsStageDef(options_), tests);
     if (runner_.dead()) {
       return false;
     }
@@ -923,11 +911,7 @@ class StreamingEngine {
 
   bool ExecuteExplore(PoolWorker& worker, size_t index) {
     // The locked-claim (handover window) path never defers — it only feeds the tracker.
-    bool ok = ExploreOneSlot(worker, tests_, index, use_pmc_,
-                             matcher_.has_value() ? &*matcher_ : nullptr, options_, runner_,
-                             journal_name_, journaled_, &outcomes_, &resumed_,
-                             options_.explorer.prune.enabled ? &feedback_ : nullptr);
-    if (!ok) {
+    if (!ExploreSlot(worker, index, options_.explorer.prune.enabled)) {
       return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -955,12 +939,11 @@ class StreamingEngine {
     result->cluster_count = cluster_count_;
     result->tests_generated = tests_.size();
     FoldExploreOutcomes(outcomes_, resumed_, result);
-    // Stage timings become event-window attributions under streaming: each stage is
-    // charged the wall-clock between its predecessor's completion event and its own. When
-    // stages overlap (explore running during the profile tail) the windows overlap too, so
-    // the per-stage columns no longer sum to the campaign wall-clock — by design. The same
-    // windows attribute the snapshot-restore counter deltas. None of these fields are
-    // serialized or compared across engines.
+    // Stage timings are event-window attributions: each stage is charged the wall-clock
+    // between its predecessor's completion event and its own. When stages overlap
+    // (explore running during the profile tail) the windows overlap too, so the per-stage
+    // columns do not sum to the campaign wall-clock — by design. The same windows
+    // attribute the snapshot-restore counter deltas. None of these fields are serialized.
     result->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
     result->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
     result->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
@@ -973,6 +956,7 @@ class StreamingEngine {
   }
 
   const PipelineOptions& options_;
+  const CampaignSeeds& seeds_;
   StageRunner runner_;
   const bool use_pmc_;
   const std::string journal_name_;
@@ -985,7 +969,6 @@ class StreamingEngine {
 
   // Corpus.
   bool corpus_claimed_ = false;
-  bool corpus_loaded_ = false;
   bool corpus_done_ = false;
   std::vector<Program> corpus_;
 
@@ -1008,13 +991,11 @@ class StreamingEngine {
   size_t scan_next_ = 0;
   size_t scans_done_ = 0;
   bool merge_claimed_ = false;
-  bool pmcs_loaded_ = false;
   bool pmcs_done_ = false;
   std::vector<Pmc> pmcs_;
 
   // Tests.
   bool generate_claimed_ = false;
-  bool tests_loaded_ = false;
   bool tests_resolved_ = false;
   bool tests_ready_ = false;
   size_t cluster_count_ = 0;
@@ -1052,137 +1033,35 @@ class StreamingEngine {
 
 PreparedCampaign PrepareCampaign(const PipelineOptions& options) {
   PreparedCampaign campaign;
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
+  // One pool worker supplies the VM, as the engine's corpus item does.
+  WorkerPool::Global().Run(1, [&](PoolWorker& worker) {
+    campaign.corpus = ComputeCorpus(PoolWorkerVm(worker), options);
+  });
+  auto t_corpus = std::chrono::steady_clock::now();
 
-  Artifact<std::vector<Program>> corpus = runner.Run(CorpusStageDef(options));
-  campaign.corpus = std::move(corpus.value);
-  campaign.corpus_seconds = corpus.seconds;
-  if (runner.dead()) {
-    return campaign;
-  }
+  ProfileOptions profile_options;
+  profile_options.num_workers = options.ResolvedWorkers();
+  profile_options.cache = options.profile_cache;
+  campaign.profiles = ProfileCorpusParallel(campaign.corpus, profile_options);
+  auto t_profiles = std::chrono::steady_clock::now();
 
-  Artifact<std::vector<SequentialProfile>> profiles =
-      runner.Run(ProfilesStageDef(options, campaign.corpus));
-  campaign.profiles = std::move(profiles.value);
-  campaign.profile_seconds = profiles.seconds;
-  campaign.profile_restore_seconds = profiles.restore_seconds;
-  if (runner.dead()) {
-    return campaign;
-  }
+  PmcIdentifyOptions pmc_options = options.pmc;
+  pmc_options.num_workers = IdentifyWorkers(options);
+  campaign.pmcs = IdentifyPmcs(campaign.profiles, pmc_options);
+  auto t_pmcs = std::chrono::steady_clock::now();
 
-  Artifact<std::vector<Pmc>> pmcs = runner.Run(PmcsStageDef(options, campaign.profiles));
-  campaign.pmcs = std::move(pmcs.value);
-  campaign.identify_seconds = pmcs.seconds;
+  SerializedTests tests = ComputeTests(campaign.corpus, campaign.pmcs, options);
+  campaign.tests = std::move(tests.tests);
+  campaign.cluster_count = tests.cluster_count;
+  campaign.profile_seconds = SecondsBetween(t_corpus, t_profiles);
+  campaign.identify_seconds = SecondsBetween(t_profiles, t_pmcs);
   return campaign;
 }
 
-std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& campaign,
-                                                     const PipelineOptions& options,
-                                                     size_t* cluster_count_out) {
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
-  Artifact<SerializedTests> tests =
-      runner.Run(TestsStageDef(options, campaign.corpus, campaign.pmcs));
-  if (cluster_count_out != nullptr) {
-    *cluster_count_out = tests.value.cluster_count;
-  }
-  return std::move(tests.value.tests);
-}
-
-void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
-                     const PmcMatcher* matcher, const PipelineOptions& options,
-                     PipelineResult* result) {
-  TRACE_SPAN("stage.execute", tests.size());
-  StageTimer timer;
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
-  const std::string journal_name = std::string("execute.") + StrategyToken(options.strategy);
-  std::vector<std::optional<OutcomeRecord>> journaled =
-      BuildJournalTable(runner, journal_name, tests.size());
-
-  // Per-test outcome slots, claimed dynamically, folded in index order below. Workers come
-  // from the shared pool and reuse their parked VMs; a fully journaled resume replays
-  // without touching one.
-  std::vector<std::optional<OutcomeRecord>> outcomes(tests.size());
-  std::vector<uint8_t> resumed(tests.size(), 0);
-  IndexClaim claim(tests.size());
-  const bool feedback_enabled = options.explorer.prune.enabled;
-  ClusterPriorityTracker feedback;
-  std::mutex deferred_mu;
-  std::vector<size_t> deferred;
-  WorkerPool::Global().Run(options.ResolvedWorkers(), [&](PoolWorker& worker) {
-    if (!feedback_enabled) {
-      for (;;) {
-        // The worker-kill point: a crash injected here (or anywhere else) makes every
-        // worker abandon its claim loop, exactly as a SIGKILL would.
-        if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-          return;
-        }
-        size_t index = 0;
-        if (!claim.Next(&index)) {
-          return;
-        }
-        if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                            journal_name, journaled, &outcomes, &resumed)) {
-          return;
-        }
-      }
-    }
-    // Feedback path: tests of chronically saturating groups are deferred behind the rest.
-    // The kill point here fires only before an actual execution, never on a deferral —
-    // deferrals are timing-dependent, and the crash-sweep harness needs the campaign's
-    // fault-point count deterministic. Every pusher drains after the cursor exhausts, so
-    // the deferred queue always empties.
-    for (;;) {
-      size_t index = 0;
-      if (!claim.Next(&index)) {
-        break;  // Cursor exhausted: fall through to the deferred drain.
-      }
-      if (!journaled[index].has_value() &&
-          feedback.IsDeprioritized(TestFeedbackGroup(tests[index]))) {
-        std::lock_guard<std::mutex> lock(deferred_mu);
-        deferred.push_back(index);
-        continue;
-      }
-      if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-        return;
-      }
-      if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                          journal_name, journaled, &outcomes, &resumed, &feedback)) {
-        return;
-      }
-    }
-    for (;;) {
-      size_t index = 0;
-      {
-        std::lock_guard<std::mutex> lock(deferred_mu);
-        if (deferred.empty()) {
-          return;
-        }
-        index = deferred.back();
-        deferred.pop_back();
-      }
-      if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-        return;
-      }
-      if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                          journal_name, journaled, &outcomes, &resumed, &feedback)) {
-        return;
-      }
-    }
-  });
-  // Claim boundary: group-commit whatever outcome records are still buffered before the
-  // stage's results are folded (and the result entry persisted).
-  if (runner.store() != nullptr) {
-    runner.store()->FlushJournals();
-  }
-  FoldExploreOutcomes(outcomes, resumed, result);
-  result->execute_seconds += timer.Seconds();
-  result->execute_restore_seconds += timer.RestoreSeconds();
-}
-
-PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
+PipelineResult RunSnowboardPipeline(const PipelineOptions& options,
+                                    const CampaignSeeds& seeds) {
+  // A seeded artifact is never persisted, so a checkpoint could not resume it.
+  SB_CHECK(seeds.empty() || options.checkpoint_dir.empty());
   TRACE_SPAN("pipeline.campaign");
   PipelineResult result;
   const StageDef<PipelineResult> result_def = ResultStageDef(options);
@@ -1207,15 +1086,14 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
         store->Put("campaign", guard);
       } else {
         StageRunner runner(store.get(), options.fault, options.resume);
-        Artifact<PipelineResult> done;
-        if (runner.TryLoad(result_def, &done)) {
-          done.value.tests_resumed = done.value.tests_executed;
-          GlobalPipelineCounters().tests_resumed.fetch_add(done.value.tests_executed,
+        if (std::optional<PipelineResult> done = runner.TryLoad(result_def)) {
+          done->tests_resumed = done->tests_executed;
+          GlobalPipelineCounters().tests_resumed.fetch_add(done->tests_executed,
                                                            std::memory_order_relaxed);
           SB_LOG(kInfo) << StrategyName(options.strategy)
-                        << ": resumed from completed checkpoint ("
-                        << done.value.tests_executed << " tests)";
-          return done.value;
+                        << ": resumed from completed checkpoint (" << done->tests_executed
+                        << " tests)";
+          return *done;
         }
       }
     }
@@ -1224,50 +1102,10 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
     }
   }
 
-  if (options.streaming) {
+  {
     std::unique_ptr<CheckpointStore> store = OpenStore(options);
-    StreamingEngine engine(options, store.get());
+    StreamingEngine engine(options, seeds, store.get());
     engine.Run(&result);
-    if (Dead(options)) {
-      return result;
-    }
-  } else {
-    PreparedCampaign campaign = PrepareCampaign(options);
-    if (Dead(options)) {
-      return result;
-    }
-
-    result.corpus_size = campaign.corpus.size();
-    for (const SequentialProfile& profile : campaign.profiles) {
-      if (profile.ok) {
-        result.profiled_ok++;
-        result.shared_accesses += profile.accesses.size();
-      }
-    }
-    result.pmc_count = campaign.pmcs.size();
-    for (const Pmc& pmc : campaign.pmcs) {
-      result.total_pmc_pairs += pmc.total_pairs;
-    }
-    result.pmc_table_digest = PmcTableDigest(campaign.pmcs);
-    result.corpus_seconds = campaign.corpus_seconds;
-    result.profile_seconds = campaign.profile_seconds;
-    result.profile_restore_seconds = campaign.profile_restore_seconds;
-    result.identify_seconds = campaign.identify_seconds;
-
-    StageTimer cluster_timer;
-    std::vector<ConcurrentTest> tests =
-        GenerateTestsForStrategy(campaign, options, &result.cluster_count);
-    result.cluster_seconds = cluster_timer.Seconds();
-    result.tests_generated = tests.size();
-    TRACE_COUNTER("funnel.clusters", result.cluster_count);
-    TRACE_COUNTER("funnel.tests_generated", tests.size());
-    if (Dead(options)) {
-      return result;
-    }
-
-    bool use_pmc = StrategyUsesPmcs(options.strategy);
-    PmcMatcher matcher(&campaign.pmcs);
-    ExecuteCampaign(tests, use_pmc, use_pmc ? &matcher : nullptr, options, &result);
     if (Dead(options)) {
       return result;
     }

@@ -5,22 +5,20 @@
 // whose workers carry lazily-booted KernelVms reused from the corpus stage through
 // profiling into concurrent-test execution — the in-process analog of the paper's
 // Redis-queue-plus-GCP-VMs deployment (§4.4.1), where a fixed fleet streams through all
-// campaign work. Two engines drive the stages:
-//   * streaming (default): one pool job runs the whole campaign as a dependency DAG —
-//     completed profiles fold into PMC identification while the profile tail executes, and
-//     concurrent tests start exploring as soon as the test list resolves.
-//   * barrier (`streaming = false`, CLI --no-stream): stages run to completion in sequence,
-//     each as its own pool job — the reference structure the streaming engine is A/B-tested
-//     against.
+// campaign work. One engine drives the stages: a single pool job runs the whole campaign
+// as a dependency DAG — completed profiles fold into PMC identification while the profile
+// tail executes, and concurrent tests start exploring as soon as the test list resolves.
+// A stage's artifact resolves in one of three ways: computed, loaded from a checkpoint, or
+// seeded by the caller (CampaignSeeds).
 // Budgets are expressed in test counts rather than wall-clock, shard merges are canonically
 // ordered (profile folds and outcome folds happen in index order regardless of completion
 // order), and per-test exploration seeds derive from the test index, so the pipeline's
 // deterministic outputs (stats, PMC tables, findings) are byte-identical for a fixed seed
-// at ANY worker count, under EITHER engine — the invariant the determinism test harness
-// locks in.
+// at ANY worker count — the invariant the determinism test harness locks in.
 #ifndef SRC_SNOWBOARD_PIPELINE_H_
 #define SRC_SNOWBOARD_PIPELINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,11 +43,6 @@ struct PipelineOptions {
   // clustering, and execution alike. All deterministic outputs are invariant under it.
   // <= 0 means "unset" and resolves to 1 (ResolvedWorkers).
   int num_workers = 1;
-  // Cross-stage streaming (the default engine): profiles fold into PMC identification as
-  // they complete and exploration starts as soon as tests resolve, instead of a full
-  // barrier between stages. Deterministic outputs are invariant under this flag (and it is
-  // excluded from the checkpoint fingerprint, so campaigns may be resumed across engines).
-  bool streaming = true;
   // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
   // each distinct program is profiled on a VM only once.
   ProfileCache* profile_cache = nullptr;
@@ -121,35 +114,44 @@ struct PipelineResult {
   double execute_restore_seconds = 0;
 };
 
+// Pre-resolved stage artifacts a caller hands the campaign instead of having it compute
+// them: the staged CLI `run` (a saved corpus and PMC table), and benches and tests that
+// reuse one prepared campaign across strategies or worker counts. A seeded artifact
+// resolves its stage exactly as a checkpoint load does, and is never persisted. Stages
+// that feed only seeded artifacts do not run: seeded PMCs skip profiling and
+// identification, seeded tests skip generation (the result then reports 0 clusters), and
+// seeding both PMCs and tests skips the corpus too (corpus_size then reads 0). The PMC
+// table is still computed when only tests are seeded. Seeds and
+// PipelineOptions::checkpoint_dir are mutually exclusive (checked).
+struct CampaignSeeds {
+  std::optional<std::vector<Program>> corpus;
+  std::optional<std::vector<Pmc>> pmcs;
+  std::optional<std::vector<ConcurrentTest>> tests;
+
+  bool empty() const { return !corpus && !pmcs && !tests; }
+};
+
 // Runs the full campaign for one strategy (including the Random/Duplicate pairing baselines,
 // which skip profiling-derived hints and run under the random-preemption scheduler).
-PipelineResult RunSnowboardPipeline(const PipelineOptions& options);
+PipelineResult RunSnowboardPipeline(const PipelineOptions& options,
+                                    const CampaignSeeds& seeds = {});
 
-// --- Individual stages, exposed for benches that need intermediate artifacts. ---
-
+// Stages 1-3 for `options.strategy`, computed directly (no engine, no checkpoint): the
+// bench/test helper that produces seeds shared across strategies and worker counts, and
+// the intermediate profiles the engine does not return. Every artifact is byte-identical
+// to the one RunSnowboardPipeline computes for the same options.
 struct PreparedCampaign {
   std::vector<Program> corpus;
   std::vector<SequentialProfile> profiles;
   std::vector<Pmc> pmcs;
-  double corpus_seconds = 0;
+  std::vector<ConcurrentTest> tests;  // options.strategy's test list.
+  size_t cluster_count = 0;
+  // Wall-clock of the profiling and identification stages.
   double profile_seconds = 0;
-  double profile_restore_seconds = 0;  // Snapshot-restore share of profile_seconds.
   double identify_seconds = 0;
 };
 
-// Stages 1-2 (corpus, profiling, identification); shared across strategies in benches.
 PreparedCampaign PrepareCampaign(const PipelineOptions& options);
-
-// Stage 3: clustering + selection for one strategy (returns generated concurrent tests).
-std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& campaign,
-                                                     const PipelineOptions& options,
-                                                     size_t* cluster_count_out);
-
-// Stage 4: parallel execution of `tests`, filling execution stats + findings into `result`.
-// `use_pmc_hints` selects the Algorithm 2 scheduler vs the baseline random scheduler.
-void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
-                     const PmcMatcher* matcher, const PipelineOptions& options,
-                     PipelineResult* result);
 
 }  // namespace snowboard
 

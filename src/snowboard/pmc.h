@@ -72,7 +72,7 @@ struct PmcIdentifyOptions {
   // cap in memory). Identification stops adding past this.
   size_t max_pmcs = 50'000'000;
   // Worker threads for the overlap scan. 0 = unset: direct IdentifyPmcs callers get a
-  // sequential scan, PrepareCampaign substitutes its pipeline num_workers. The identified
+  // sequential scan, the pipeline substitutes its own num_workers. The identified
   // table is invariant under this value.
   int num_workers = 0;
 };

@@ -86,7 +86,6 @@ std::string SerializeCampaignSpec(const CampaignSpec& spec) {
   StrAppendf(&out, "workers %d\n", spec.workers);
   StrAppendf(&out, "priority %d\n", spec.priority);
   StrAppendf(&out, "detectors %s\n", FormatDetectorMask(spec.detectors).c_str());
-  StrAppendf(&out, "streaming %d\n", spec.streaming ? 1 : 0);
   StrAppendf(&out, "prune %d\n", spec.prune ? 1 : 0);
   StrAppendf(&out, "prune-saturation %d\n", spec.prune_saturation);
   return out;
@@ -144,8 +143,9 @@ std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
       spec.priority = i32;
     } else if (key == "detectors" && ParseDetectorMask(value, &spec.detectors)) {
       // Parsed in the condition.
-    } else if (key == "streaming" && ParseInt(value, &i32) && (i32 == 0 || i32 == 1)) {
-      spec.streaming = i32 == 1;
+    } else if (key == "streaming" && (value == "0" || value == "1")) {
+      // Retired engine switch: spec.txt files written before the barrier engine was
+      // removed carry it, so it is accepted and ignored to let fleet roots re-adopt.
     } else if (key == "prune" && ParseInt(value, &i32) && (i32 == 0 || i32 == 1)) {
       spec.prune = i32 == 1;
     } else if (key == "prune-saturation" && ParseInt(value, &i32) && i32 >= 1) {
@@ -175,7 +175,6 @@ PipelineOptions CampaignPipelineOptions(const CampaignSpec& spec,
   options.explorer.prune.enabled = spec.prune;
   options.explorer.prune.saturation_window = spec.prune_saturation;
   options.num_workers = granted_workers;
-  options.streaming = spec.streaming;
   options.checkpoint_dir = checkpoint_dir;
   options.journal_flush_records = journal_flush_records;
   return options;

@@ -56,7 +56,6 @@ struct CampaignSpec {
   int workers = 4;               // requested worker quota (a ceiling, not a guarantee).
   int priority = 0;              // higher starts first; ties by submission order.
   uint32_t detectors = kDetectorAll;
-  bool streaming = true;
   // Schedule-equivalence pruning (equiv.h). ON by default for campaigns — unlike the raw
   // library default — because duplicate-interleaving trials are pure waste at fleet scale;
   // `prune 0` (CLI --no-prune) restores the unpruned trial loop bit-for-bit.

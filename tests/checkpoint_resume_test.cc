@@ -140,7 +140,7 @@ TEST(CheckpointResumeTest, CrashAtEveryFaultPointResumesByteIdentical) {
 
 // The same sweep with schedule-equivalence pruning on: the v4 outcome records carry
 // fingerprints, adaptive sites, and saturation flags, journal replay feeds the
-// cluster-priority tracker without re-execution, and the streaming engine's deferral path
+// cluster-priority tracker without re-execution, and the engine's deferral path
 // adds no fault points that could desynchronize a resume. One worker count keeps the
 // doubled sweep inside the resume lane's budget; the prune-off sweep above already covers
 // the worker-count axis.
@@ -489,53 +489,6 @@ TEST(CheckpointResumeTest, JournalBatchFlushAccountingReconciles) {
   EXPECT_LE(flushes, on_disk) << "a flush carries at least one record";
   EXPECT_GT(counters.journal_flush_nanos.load(), 0u);
   std::filesystem::remove_all(options.checkpoint_dir);
-}
-
-// The options fingerprint deliberately excludes the engine choice, so a campaign crashed
-// under one engine must resume byte-identically under the other — in both directions, at
-// sampled crash ordinals (the exhaustive per-point sweep is CrashAtEveryFaultPoint's job).
-TEST(CheckpointResumeTest, CrossEngineResumeIsByteIdentical) {
-  PipelineOptions plain = TinyOptions(2);
-  const std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(plain));
-
-  for (bool crash_streaming : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "crash under "
-                                    << (crash_streaming ? "streaming" : "barrier")
-                                    << ", resume under the other");
-    // Fault-point totals can differ between engines, so count under the crashing engine.
-    FaultInjector::Plan no_crash;
-    FaultInjector point_counter(no_crash);
-    PipelineOptions count_options = TinyOptions(2);
-    count_options.streaming = crash_streaming;
-    count_options.checkpoint_dir = FreshDir("xengine_count");
-    count_options.fault = &point_counter;
-    ASSERT_EQ(SerializePipelineResult(RunSnowboardPipeline(count_options)), golden_text);
-    const uint64_t total_points = point_counter.points_seen();
-    ASSERT_GT(total_points, 20u);
-    std::filesystem::remove_all(count_options.checkpoint_dir);
-
-    for (uint64_t crash_at : {total_points / 5, total_points / 2, total_points - 1}) {
-      SCOPED_TRACE(testing::Message() << "crash_at=" << crash_at);
-      std::string dir = FreshDir("xengine");
-      FaultInjector::Plan plan;
-      plan.crash_at = static_cast<int64_t>(crash_at);
-      FaultInjector fault(plan);
-      PipelineOptions crash_options = TinyOptions(2);
-      crash_options.streaming = crash_streaming;
-      crash_options.checkpoint_dir = dir;
-      crash_options.fault = &fault;
-      RunSnowboardPipeline(crash_options);
-      ASSERT_TRUE(fault.crashed());
-
-      PipelineOptions resume_options = TinyOptions(2);
-      resume_options.streaming = !crash_streaming;
-      resume_options.checkpoint_dir = dir;
-      resume_options.resume = true;
-      PipelineResult resumed = RunSnowboardPipeline(resume_options);
-      EXPECT_EQ(SerializePipelineResult(resumed), golden_text);
-      std::filesystem::remove_all(dir);
-    }
-  }
 }
 
 TEST(CheckpointResumeTest, InjectedHangsRetryWithoutChangingResults) {

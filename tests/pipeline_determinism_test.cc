@@ -16,6 +16,7 @@
 #include "src/snowboard/report_html.h"
 #include "src/snowboard/serialize.h"
 #include "src/snowboard/stats.h"
+#include "src/util/counters.h"
 
 namespace snowboard {
 namespace {
@@ -89,81 +90,10 @@ TEST(PipelineDeterminismTest, ClusterTablesInvariantAcrossWorkerCounts) {
   }
 }
 
-void ExpectSameResults(const PipelineResult& result, const PipelineResult& base) {
-  EXPECT_EQ(result.corpus_size, base.corpus_size);
-  EXPECT_EQ(result.profiled_ok, base.profiled_ok);
-  EXPECT_EQ(result.shared_accesses, base.shared_accesses);
-  EXPECT_EQ(result.pmc_count, base.pmc_count);
-  EXPECT_EQ(result.total_pmc_pairs, base.total_pmc_pairs);
-  EXPECT_EQ(result.cluster_count, base.cluster_count);
-  EXPECT_EQ(result.tests_generated, base.tests_generated);
-  EXPECT_EQ(result.tests_executed, base.tests_executed);
-  EXPECT_EQ(result.tests_with_bug, base.tests_with_bug);
-  EXPECT_EQ(result.channel_exercised, base.channel_exercised);
-  EXPECT_EQ(result.total_trials, base.total_trials);
-  EXPECT_EQ(result.schedule_switches_orig, base.schedule_switches_orig);
-  EXPECT_EQ(result.schedule_switches_min, base.schedule_switches_min);
-  EXPECT_EQ(result.findings.total_findings(), base.findings.total_findings());
-  EXPECT_EQ(FindingsDigest(result.findings), FindingsDigest(base.findings));
-}
-
-// The dirty-page delta restore is a pure optimization: with it disabled (reference full
-// memcpy path), every deterministic pipeline output must stay byte-identical — and the
-// invariance across worker counts must hold in either mode.
-TEST(PipelineDeterminismTest, DeltaRestoreOnOffProducesIdenticalResults) {
-  ASSERT_TRUE(KernelVm::DeltaRestoreEnabled()) << "delta restore should default on";
-  PipelineResult with_delta = RunSnowboardPipeline(BaseOptions(1));
-  ASSERT_GT(with_delta.tests_executed, 0u);
-
-  KernelVm::SetDeltaRestoreEnabled(false);
-  PipelineResult without_delta = RunSnowboardPipeline(BaseOptions(1));
-  PipelineResult without_delta_mt = RunSnowboardPipeline(BaseOptions(4));
-  KernelVm::SetDeltaRestoreEnabled(true);
-
-  {
-    SCOPED_TRACE("delta off vs on, 1 worker");
-    ExpectSameResults(without_delta, with_delta);
-  }
-  {
-    SCOPED_TRACE("delta off, 4 workers vs 1 worker");
-    ExpectSameResults(without_delta_mt, with_delta);
-  }
-  // And with delta back on, multi-worker runs still match the single-worker baseline.
-  {
-    SCOPED_TRACE("delta on, 2 workers vs 1 worker");
-    PipelineResult with_delta_mt = RunSnowboardPipeline(BaseOptions(2));
-    ExpectSameResults(with_delta_mt, with_delta);
-  }
-}
-
-// The streaming engine overlaps stages (profiles fold into identification while the
-// profile tail runs; exploration starts as soon as tests resolve) but pins every ordered
-// computation to the barrier engine's order — so the serialized result must be
-// byte-identical across engines AND worker counts. This is the A/B the unified campaign
-// engine is held to.
-TEST(PipelineDeterminismTest, StreamingAndBarrierEnginesByteIdentical) {
-  PipelineOptions golden_options = BaseOptions(1);
-  golden_options.streaming = false;
-  const std::string golden = SerializePipelineResult(RunSnowboardPipeline(golden_options));
-  ASSERT_FALSE(golden.empty());
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4, 8}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      PipelineOptions options = BaseOptions(workers);
-      options.streaming = streaming;
-      EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(options)), golden);
-    }
-  }
-}
-
 // Sharded-merge determinism: per-worker counter shards drain into the global block with
 // commutative additions, so work-proportional counter TOTALS — profiles executed,
 // concurrent tests run, snapshot restores performed — must be exactly equal at any worker
-// count under either engine, and the masked report.json (whose deterministic portion
+// count, and the masked report.json (whose deterministic portion
 // embeds the funnel those counters feed) must stay byte-identical. Only totals invariant
 // under scheduling are compared: the full/delta restore SPLIT varies with worker count
 // (each worker VM's first restore is a full one), so the sum is asserted, not the parts.
@@ -186,30 +116,20 @@ TEST(PipelineDeterminismTest, ShardedCounterTotalsAndMaskedReportInvariant) {
     return totals;
   };
 
-  PipelineOptions golden_options = BaseOptions(1);
-  golden_options.streaming = false;
   std::string golden_report;
-  Totals golden = run(golden_options, &golden_report);
+  Totals golden = run(BaseOptions(1), &golden_report);
   ASSERT_GT(golden.tests_run, 0u);
   ASSERT_GT(golden.profile_runs, 0u);
   ASSERT_GT(golden.restores, golden.tests_run);  // At least one restore per trial.
 
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4, 8}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      PipelineOptions options = BaseOptions(workers);
-      options.streaming = streaming;
-      std::string masked_report;
-      Totals totals = run(options, &masked_report);
-      EXPECT_EQ(masked_report, golden_report);
-      EXPECT_EQ(totals.profile_runs, golden.profile_runs);
-      EXPECT_EQ(totals.tests_run, golden.tests_run);
-      EXPECT_EQ(totals.restores, golden.restores);
-    }
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    std::string masked_report;
+    Totals totals = run(BaseOptions(workers), &masked_report);
+    EXPECT_EQ(masked_report, golden_report);
+    EXPECT_EQ(totals.profile_runs, golden.profile_runs);
+    EXPECT_EQ(totals.tests_run, golden.tests_run);
+    EXPECT_EQ(totals.restores, golden.restores);
   }
 }
 
@@ -217,8 +137,9 @@ TEST(PipelineDeterminismTest, ShardedCounterTotalsAndMaskedReportInvariant) {
 // suite (#18-#22) plus the Figure 1 l2tp pair produce a report whose findings span race,
 // console/panic, deadlock, lost-wakeup, AND livelock kinds. The masked report.json —
 // including the new per-finding "kind" column and the detector witnesses in the evidence —
-// must be byte-identical at 1/2/4 workers under both engines, the same bar the
-// race/console-era report is held to.
+// must be byte-identical at 1/2/4 workers, the same bar the race/console-era report is
+// held to. The handcrafted tests (and an empty PMC table, which the pairing scheduler never
+// consults) seed the campaign, so only exploration runs.
 TEST(PipelineDeterminismTest, MaskedReportWithAllDetectorKindsInvariant) {
   auto call = [](uint32_t nr, std::initializer_list<int64_t> args) {
     Call c;
@@ -258,93 +179,152 @@ TEST(PipelineDeterminismTest, MaskedReportWithAllDetectorKindsInvariant) {
                        program({call(kSysPortTransfer, {1, 0}), call(kSysPortTransfer, {1, 0})}),
                        106));
 
-  auto run = [&tests](int workers, bool streaming) {
+  CampaignSeeds campaign_seeds;
+  campaign_seeds.pmcs.emplace();
+  campaign_seeds.tests = tests;
+  auto run = [&campaign_seeds](int workers) {
     PipelineOptions options;
     options.seed = 7;
     options.strategy = Strategy::kRandomPairing;
     options.num_workers = workers;
-    options.streaming = streaming;
     options.explorer.seed = 2021;
     options.explorer.num_trials = 256;
     options.explorer.max_instructions = 60'000;
     EXPECT_EQ(options.explorer.detectors, kDetectorAll);  // All five detectors enabled.
     ResetPipelineCounters();
-    PipelineResult result;
-    ExecuteCampaign(tests, /*use_pmc_hints=*/false, nullptr, options, &result);
+    PipelineResult result = RunSnowboardPipeline(options, campaign_seeds);
     CampaignReport report = BuildCampaignReport(options, result);
     return MaskReportVolatile(RenderReportJson(report));
   };
 
-  const std::string golden = run(1, /*streaming=*/false);
+  const std::string golden = run(1);
   // The report must actually carry every finding kind, or the invariance is vacuous.
   for (const char* kind : {"\"race\"", "\"deadlock\"", "\"lost-wakeup\"", "\"livelock\""}) {
     EXPECT_NE(golden.find(kind), std::string::npos) << "report lacks a " << kind
                                                     << " finding:\n" << golden;
   }
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(run(workers, streaming), golden);
-    }
-  }
-}
-
-// Same A/B over a pairing baseline, where the streaming engine genuinely overlaps
-// exploration with the profile tail (tests depend only on the corpus).
-TEST(PipelineDeterminismTest, StreamingMatchesBarrierForPairingBaseline) {
-  PipelineOptions barrier = BaseOptions(1);
-  barrier.strategy = Strategy::kRandomPairing;
-  barrier.streaming = false;
-  const std::string golden = SerializePipelineResult(RunSnowboardPipeline(barrier));
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "workers=" << workers);
-    PipelineOptions streaming = BaseOptions(workers);
-    streaming.strategy = Strategy::kRandomPairing;
-    streaming.streaming = true;
-    EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(streaming)), golden);
-  }
-}
-
-TEST(PipelineDeterminismTest, FullPipelineStatsAndFindingsInvariant) {
-  PipelineResult base = RunSnowboardPipeline(BaseOptions(1));
-  ASSERT_GT(base.tests_executed, 0u);
   for (int workers : {2, 4}) {
-    SCOPED_TRACE(testing::Message() << "num_workers=" << workers);
-    PipelineResult result = RunSnowboardPipeline(BaseOptions(workers));
-    EXPECT_EQ(result.corpus_size, base.corpus_size);
-    EXPECT_EQ(result.profiled_ok, base.profiled_ok);
-    EXPECT_EQ(result.shared_accesses, base.shared_accesses);
-    EXPECT_EQ(result.pmc_count, base.pmc_count);
-    EXPECT_EQ(result.total_pmc_pairs, base.total_pmc_pairs);
-    EXPECT_EQ(result.cluster_count, base.cluster_count);
-    EXPECT_EQ(result.tests_generated, base.tests_generated);
-    EXPECT_EQ(result.tests_executed, base.tests_executed);
-    EXPECT_EQ(result.tests_with_bug, base.tests_with_bug);
-    EXPECT_EQ(result.channel_exercised, base.channel_exercised);
-    EXPECT_EQ(result.total_trials, base.total_trials);
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    EXPECT_EQ(run(workers), golden);
+  }
+}
 
-    EXPECT_EQ(result.findings.total_findings(), base.findings.total_findings());
-    ASSERT_EQ(result.findings.first_findings().size(), base.findings.first_findings().size());
-    auto base_it = base.findings.first_findings().begin();
-    for (const auto& [id, finding] : result.findings.first_findings()) {
-      EXPECT_EQ(id, base_it->first);
-      EXPECT_EQ(finding.issue_id, base_it->second.issue_id);
-      EXPECT_EQ(finding.evidence, base_it->second.evidence);
-      EXPECT_EQ(finding.test_index, base_it->second.test_index);
-      EXPECT_EQ(finding.trial, base_it->second.trial);
-      EXPECT_EQ(finding.duplicate_input, base_it->second.duplicate_input);
-      // The shippable reproducer: the token (schedule, fingerprint, crc and all) must be
-      // byte-identical regardless of worker count.
-      EXPECT_EQ(finding.replay_token, base_it->second.replay_token);
-      ++base_it;
+// Seeded artifacts (CampaignSeeds) enter the engine as pre-resolved stages: the campaign
+// they produce must match the one that computed those artifacts itself, and the stages
+// that feed only seeded artifacts must not run.
+TEST(PipelineDeterminismTest, SeededArtifactsReproduceTheComputedCampaign) {
+  const PipelineOptions options = BaseOptions(2);
+  const PipelineResult computed = RunSnowboardPipeline(options);
+  ASSERT_GT(computed.tests_executed, 0u);
+  const PreparedCampaign prepared = PrepareCampaign(options);
+  // PrepareCampaign computes exactly the engine's artifacts.
+  EXPECT_EQ(prepared.corpus.size(), computed.corpus_size);
+  EXPECT_EQ(PmcTableDigest(prepared.pmcs), computed.pmc_table_digest);
+  EXPECT_EQ(prepared.cluster_count, computed.cluster_count);
+  EXPECT_EQ(prepared.tests.size(), computed.tests_generated);
+
+  auto expect_same_exploration = [&computed](const PipelineResult& seeded) {
+    EXPECT_EQ(seeded.tests_generated, computed.tests_generated);
+    EXPECT_EQ(seeded.tests_executed, computed.tests_executed);
+    EXPECT_EQ(seeded.total_trials, computed.total_trials);
+    EXPECT_EQ(seeded.tests_with_bug, computed.tests_with_bug);
+    EXPECT_EQ(seeded.channel_exercised, computed.channel_exercised);
+    EXPECT_EQ(FindingsDigest(seeded.findings), FindingsDigest(computed.findings));
+  };
+  {
+    SCOPED_TRACE("corpus + PMCs seeded (the staged CLI run)");
+    CampaignSeeds seeds;
+    seeds.corpus = prepared.corpus;
+    seeds.pmcs = prepared.pmcs;
+    ResetPipelineCounters();
+    PipelineResult seeded = RunSnowboardPipeline(options, seeds);
+    EXPECT_EQ(GlobalPipelineCounters().vm_profile_runs.load(), 0u) << "profiling ran";
+    EXPECT_EQ(seeded.corpus_size, computed.corpus_size);
+    EXPECT_EQ(seeded.profiled_ok, 0u);
+    EXPECT_EQ(seeded.pmc_table_digest, computed.pmc_table_digest);
+    EXPECT_EQ(seeded.cluster_count, computed.cluster_count);
+    expect_same_exploration(seeded);
+  }
+  {
+    SCOPED_TRACE("PMCs + tests seeded: only exploration runs");
+    CampaignSeeds seeds;
+    seeds.pmcs = prepared.pmcs;
+    seeds.tests = prepared.tests;
+    ResetPipelineCounters();
+    PipelineResult seeded = RunSnowboardPipeline(options, seeds);
+    EXPECT_EQ(GlobalPipelineCounters().vm_profile_runs.load(), 0u) << "profiling ran";
+    EXPECT_EQ(seeded.corpus_size, 0u) << "the corpus feeds nothing here and must not run";
+    EXPECT_EQ(seeded.cluster_count, 0u);
+    expect_same_exploration(seeded);
+  }
+  {
+    SCOPED_TRACE("corpus seeded: profiling and identification still run");
+    CampaignSeeds seeds;
+    seeds.corpus = prepared.corpus;
+    EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(options, seeds)),
+              SerializePipelineResult(computed));
+  }
+}
+
+// A seeded artifact is never persisted, so seeding a checkpointed campaign is a caller
+// bug, not a mode: the engine refuses it.
+TEST(PipelineDeterminismTest, SeedsWithCheckpointDirAreRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  PipelineOptions options = BaseOptions(1);
+  options.checkpoint_dir = std::string(::testing::TempDir()) + "sb_seeded_checkpoint";
+  CampaignSeeds seeds;
+  seeds.pmcs.emplace();
+  EXPECT_DEATH(RunSnowboardPipeline(options, seeds), "SB_CHECK failed");
+}
+
+// The serialized result and every finding are byte-identical at 1/2/4/8 workers, for a
+// PMC strategy and for a pairing baseline (whose test list depends only on the corpus,
+// so exploration genuinely overlaps the profile tail).
+TEST(PipelineDeterminismTest, FullPipelineStatsAndFindingsInvariant) {
+  for (Strategy strategy : {Strategy::kSInsPair, Strategy::kRandomPairing}) {
+    SCOPED_TRACE(StrategyName(strategy));
+    auto options_for = [strategy](int workers) {
+      PipelineOptions options = BaseOptions(workers);
+      options.strategy = strategy;
+      return options;
+    };
+    PipelineResult base = RunSnowboardPipeline(options_for(1));
+    ASSERT_GT(base.tests_executed, 0u);
+    for (int workers : {2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "num_workers=" << workers);
+      PipelineResult result = RunSnowboardPipeline(options_for(workers));
+      EXPECT_EQ(SerializePipelineResult(result), SerializePipelineResult(base));
+      EXPECT_EQ(result.corpus_size, base.corpus_size);
+      EXPECT_EQ(result.profiled_ok, base.profiled_ok);
+      EXPECT_EQ(result.shared_accesses, base.shared_accesses);
+      EXPECT_EQ(result.pmc_count, base.pmc_count);
+      EXPECT_EQ(result.total_pmc_pairs, base.total_pmc_pairs);
+      EXPECT_EQ(result.cluster_count, base.cluster_count);
+      EXPECT_EQ(result.tests_generated, base.tests_generated);
+      EXPECT_EQ(result.tests_executed, base.tests_executed);
+      EXPECT_EQ(result.tests_with_bug, base.tests_with_bug);
+      EXPECT_EQ(result.channel_exercised, base.channel_exercised);
+      EXPECT_EQ(result.total_trials, base.total_trials);
+
+      EXPECT_EQ(result.findings.total_findings(), base.findings.total_findings());
+      ASSERT_EQ(result.findings.first_findings().size(), base.findings.first_findings().size());
+      auto base_it = base.findings.first_findings().begin();
+      for (const auto& [id, finding] : result.findings.first_findings()) {
+        EXPECT_EQ(id, base_it->first);
+        EXPECT_EQ(finding.issue_id, base_it->second.issue_id);
+        EXPECT_EQ(finding.evidence, base_it->second.evidence);
+        EXPECT_EQ(finding.test_index, base_it->second.test_index);
+        EXPECT_EQ(finding.trial, base_it->second.trial);
+        EXPECT_EQ(finding.duplicate_input, base_it->second.duplicate_input);
+        // The shippable reproducer: the token (schedule, fingerprint, crc and all) must be
+        // byte-identical regardless of worker count.
+        EXPECT_EQ(finding.replay_token, base_it->second.replay_token);
+        ++base_it;
+      }
+      EXPECT_EQ(result.schedule_switches_orig, base.schedule_switches_orig);
+      EXPECT_EQ(result.schedule_switches_min, base.schedule_switches_min);
+      EXPECT_EQ(FindingsDigest(result.findings), FindingsDigest(base.findings));
     }
-    EXPECT_EQ(result.schedule_switches_orig, base.schedule_switches_orig);
-    EXPECT_EQ(result.schedule_switches_min, base.schedule_switches_min);
-    EXPECT_EQ(FindingsDigest(result.findings), FindingsDigest(base.findings));
   }
 }
 

@@ -34,11 +34,9 @@ TEST(PrepareCampaignTest, StagesProduceArtifacts) {
 TEST(GenerateTestsTest, BudgetAndClusterCount) {
   PipelineOptions options = SmallOptions(Strategy::kSInsPair);
   PreparedCampaign campaign = PrepareCampaign(options);
-  size_t clusters = 0;
-  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
-  EXPECT_GT(clusters, 10u);
-  EXPECT_LE(tests.size(), options.max_concurrent_tests);
-  for (const ConcurrentTest& test : tests) {
+  EXPECT_GT(campaign.cluster_count, 10u);
+  EXPECT_LE(campaign.tests.size(), options.max_concurrent_tests);
+  for (const ConcurrentTest& test : campaign.tests) {
     EXPECT_GE(test.write_test, 0);
     EXPECT_LT(static_cast<size_t>(test.write_test), campaign.corpus.size());
   }
@@ -47,14 +45,13 @@ TEST(GenerateTestsTest, BudgetAndClusterCount) {
 TEST(GenerateTestsTest, BaselinesSkipClustering) {
   PipelineOptions options = SmallOptions(Strategy::kRandomPairing);
   PreparedCampaign campaign = PrepareCampaign(options);
-  size_t clusters = 123;
-  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
-  EXPECT_EQ(clusters, 0u);
-  EXPECT_EQ(tests.size(), options.max_concurrent_tests);
+  EXPECT_EQ(campaign.cluster_count, 0u);
+  EXPECT_EQ(campaign.tests.size(), options.max_concurrent_tests);
 
   options.strategy = Strategy::kDuplicatePairing;
-  tests = GenerateTestsForStrategy(campaign, options, &clusters);
-  for (const ConcurrentTest& test : tests) {
+  campaign = PrepareCampaign(options);
+  EXPECT_FALSE(campaign.tests.empty());
+  for (const ConcurrentTest& test : campaign.tests) {
     EXPECT_EQ(test.write_test, test.read_test);
   }
 }

@@ -2,10 +2,11 @@
 // reproducers for the findings the reference campaign surfaces. Three bars, held
 // forever once a token is checked in:
 //   1. Every corpus token still parses and replays to its exact recorded detector
-//      fingerprint — on a fresh VM, with delta restore on or off.
+//      fingerprint on a fresh VM.
 //   2. Re-running the reference campaign reproduces the corpus tokens BYTE-identically,
-//      at 1/2/4 workers, under both the barrier and streaming engines. A token is part
-//      of the deterministic output surface, exactly like the serialized result.
+//      at 1/2/4 workers. A token is part of the deterministic output surface, exactly
+//      like the serialized result. (The two campaign tests keep the "AndEngines" names
+//      they had when they also compared the retired barrier engine.)
 //   3. The deliberately-divergent token (valid checksum, flipped fingerprint) parses but
 //      fails fingerprint verification — the divergence path the CLI turns into exit 3.
 //
@@ -54,10 +55,8 @@ PipelineOptions BaseOptions(int num_workers) {
 }
 
 // Runs the reference campaign and returns issue id -> replay token text.
-std::map<int, std::string> CampaignTokens(int num_workers, bool streaming) {
-  PipelineOptions options = BaseOptions(num_workers);
-  options.streaming = streaming;
-  PipelineResult result = RunSnowboardPipeline(options);
+std::map<int, std::string> CampaignTokens(int num_workers) {
+  PipelineResult result = RunSnowboardPipeline(BaseOptions(num_workers));
   std::map<int, std::string> tokens;
   for (const auto& [id, finding] : result.findings.first_findings()) {
     EXPECT_FALSE(finding.replay_token.empty())
@@ -116,10 +115,10 @@ void UpdateCorpus(const std::map<int, std::string>& tokens) {
 //
 // The fuzzer's vocabulary is frozen at the original 24 syscalls, so the generated
 // reference campaign can never reach the seeded deadlock/lost-wakeup/livelock prey. The
-// corpus tokens for those issues come from this fixed handcrafted test set, executed
-// through the SAME campaign engine (ExecuteCampaign: shared worker pool, journaling,
-// token assembly) — which also makes the new detectors subject to the worker-count and
-// engine determinism bars above.
+// corpus tokens for those issues come from this fixed handcrafted test set, seeded into
+// the SAME campaign engine (RunSnowboardPipeline with CampaignSeeds: shared worker pool,
+// journaling, token assembly) — which also makes the new detectors subject to the
+// worker-count determinism bar above.
 
 Program HandcraftedProgram(std::initializer_list<Call> calls) {
   Program p;
@@ -178,12 +177,11 @@ std::vector<ConcurrentTest> DetectorPreyTests() {
   return tests;
 }
 
-PipelineOptions DetectorOptions(int num_workers, bool streaming) {
+PipelineOptions DetectorOptions(int num_workers) {
   PipelineOptions options;
   options.seed = 7;
   options.strategy = Strategy::kRandomPairing;
   options.num_workers = num_workers;
-  options.streaming = streaming;
   options.explorer.seed = 2021;
   options.explorer.num_trials = 256;
   // Livelocked trials spin until the budget trips; the detectors only need the tail
@@ -192,11 +190,13 @@ PipelineOptions DetectorOptions(int num_workers, bool streaming) {
   return options;
 }
 
-// Runs the handcrafted suite through the campaign execute stage; issue id -> token.
-std::map<int, std::string> DetectorCampaignTokens(int num_workers, bool streaming) {
-  PipelineOptions options = DetectorOptions(num_workers, streaming);
-  PipelineResult result;
-  ExecuteCampaign(DetectorPreyTests(), /*use_pmc_hints=*/false, nullptr, options, &result);
+// Runs the handcrafted suite as a seeded campaign; issue id -> token. The pairing scheduler
+// never consults the PMC table, so an empty one is seeded and only exploration runs.
+std::map<int, std::string> DetectorCampaignTokens(int num_workers) {
+  CampaignSeeds seeds;
+  seeds.pmcs.emplace();
+  seeds.tests = DetectorPreyTests();
+  PipelineResult result = RunSnowboardPipeline(DetectorOptions(num_workers), seeds);
   std::map<int, std::string> tokens;
   for (const auto& [id, finding] : result.findings.first_findings()) {
     EXPECT_GE(id, 18) << "stray non-detector finding: " << finding.evidence;
@@ -208,8 +208,7 @@ std::map<int, std::string> DetectorCampaignTokens(int num_workers, bool streamin
 }
 
 TEST(ReplayCorpusTest, DetectorCampaignTokensMatchCorpusAcrossWorkersAndEngines) {
-  std::map<int, std::string> base = DetectorCampaignTokens(/*num_workers=*/1,
-                                                          /*streaming=*/true);
+  std::map<int, std::string> base = DetectorCampaignTokens(/*num_workers=*/1);
   // Every seeded detector issue must be exposed and tokenized.
   std::set<int> ids;
   for (const auto& [id, token] : base) {
@@ -233,21 +232,15 @@ TEST(ReplayCorpusTest, DetectorCampaignTokensMatchCorpusAcrossWorkersAndEngines)
   }
 
   // Same determinism bar as the fuzzed campaign: byte-identical tokens at any worker
-  // count, under both the barrier and streaming engines.
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (streaming && workers == 1) {
-        continue;  // The base itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(DetectorCampaignTokens(workers, streaming), base);
-    }
+  // count.
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    EXPECT_EQ(DetectorCampaignTokens(workers), base);
   }
 }
 
 TEST(ReplayCorpusTest, CampaignTokensMatchCorpusAcrossWorkersAndEngines) {
-  std::map<int, std::string> base = CampaignTokens(/*num_workers=*/1, /*streaming=*/true);
+  std::map<int, std::string> base = CampaignTokens(/*num_workers=*/1);
   ASSERT_FALSE(base.empty()) << "the reference campaign surfaced no findings";
   if (UpdateMode()) {
     UpdateCorpus(base);
@@ -261,16 +254,10 @@ TEST(ReplayCorpusTest, CampaignTokensMatchCorpusAcrossWorkersAndEngines) {
                              "regenerate with SB_UPDATE_CORPUS=1 if intentional";
 
   // The token is part of the deterministic output surface: byte-identical at any worker
-  // count, under either engine.
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (streaming && workers == 1) {
-        continue;  // The base itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(CampaignTokens(workers, streaming), base);
-    }
+  // count.
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    EXPECT_EQ(CampaignTokens(workers), base);
   }
 }
 
@@ -290,15 +277,6 @@ TEST(ReplayCorpusTest, CorpusTokensReplayToTheirFingerprint) {
     EXPECT_TRUE(verdict.completed);
     EXPECT_TRUE(verdict.fingerprint_match)
         << "expected " << token->fingerprint << ", observed " << verdict.fingerprint;
-
-    // Delta restore is a pure optimization: the reference full-restore path must replay
-    // to the identical fingerprint.
-    KernelVm::SetDeltaRestoreEnabled(false);
-    KernelVm full_vm;
-    ReplayVerdict full = ReplayTokenTrial(full_vm, *token);
-    KernelVm::SetDeltaRestoreEnabled(true);
-    EXPECT_EQ(full.fingerprint, verdict.fingerprint) << "delta-restore A/B divergence";
-    EXPECT_TRUE(full.fingerprint_match);
   }
 }
 

@@ -26,11 +26,10 @@ PipelineOptions BaseOptions(int num_workers) {
   return options;
 }
 
-std::string MaskedReportFor(int num_workers, bool streaming = true) {
+std::string MaskedReportFor(int num_workers) {
   // Counters feed the run.* metrics; reset between campaigns for clean attribution.
   ResetPipelineCounters();
   PipelineOptions options = BaseOptions(num_workers);
-  options.streaming = streaming;
   PipelineResult result = RunSnowboardPipeline(options);
   CampaignReport report = BuildCampaignReport(options, result);
   return MaskReportVolatile(RenderReportJson(report));
@@ -42,18 +41,6 @@ TEST(ReportGoldenTest, MaskedReportJsonInvariantAcrossWorkerCounts) {
   for (int workers : {2, 4}) {
     SCOPED_TRACE(testing::Message() << "num_workers=" << workers);
     EXPECT_EQ(MaskedReportFor(workers), base);
-  }
-}
-
-// The same bar across engines: streaming attributes stage seconds by event windows,
-// which differ from the barrier engine's — but seconds are volatile-masked, and every
-// unmasked line must be byte-identical between the engines at any worker count.
-TEST(ReportGoldenTest, MaskedReportJsonInvariantAcrossEngines) {
-  std::string barrier = MaskedReportFor(1, /*streaming=*/false);
-  ASSERT_FALSE(barrier.empty());
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "streaming num_workers=" << workers);
-    EXPECT_EQ(MaskedReportFor(workers, /*streaming=*/true), barrier);
   }
 }
 

@@ -134,7 +134,6 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   CampaignSpec spec = TinySpec("round-trip", 99, Strategy::kSCh, /*workers=*/3,
                                /*priority=*/-2);
   spec.detectors = kDetectorConsole | kDetectorRace;
-  spec.streaming = false;
   std::optional<CampaignSpec> parsed = ParseCampaignSpec(SerializeCampaignSpec(spec));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(SerializeCampaignSpec(*parsed), SerializeCampaignSpec(spec));
@@ -142,7 +141,6 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   EXPECT_EQ(parsed->strategy, Strategy::kSCh);
   EXPECT_EQ(parsed->priority, -2);
   EXPECT_EQ(parsed->detectors, spec.detectors);
-  EXPECT_FALSE(parsed->streaming);
 
   // CRLF submissions parse identically (curl --data-binary from foreign line endings).
   std::string crlf = SerializeCampaignSpec(spec);
@@ -166,6 +164,30 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   CampaignSpec bad_name = spec;
   bad_name.name = "no/slashes";
   EXPECT_FALSE(ParseCampaignSpec(SerializeCampaignSpec(bad_name)).has_value());
+}
+
+// The retired `streaming` key: every spec.txt written before the barrier engine was
+// removed carries `streaming 0` or `streaming 1`, so fleet roots must still re-adopt it.
+// The line parses and is ignored, the re-serialized spec no longer carries it, and any
+// other value is still rejected.
+TEST(ServeFleetTest, LegacyStreamingSpecKeyIsAcceptedAndIgnored) {
+  CampaignSpec spec = TinySpec("legacy", 5, Strategy::kSIns);
+  const std::string current = SerializeCampaignSpec(spec);
+  EXPECT_EQ(current.find("streaming"), std::string::npos);
+  // A spec.txt as the old daemon wrote it: the engine line sat right after `detectors`.
+  const size_t after_detectors = current.find('\n', current.find("detectors ")) + 1;
+  for (const char* line : {"streaming 0\n", "streaming 1\n"}) {
+    SCOPED_TRACE(line);
+    std::string legacy = current;
+    legacy.insert(after_detectors, line);
+    std::optional<CampaignSpec> parsed = ParseCampaignSpec(legacy);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(SerializeCampaignSpec(*parsed), current);
+  }
+  for (const char* bad : {"streaming 2\n", "streaming -1\n", "streaming yes\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseCampaignSpec(current + bad).has_value());
+  }
 }
 
 // The headline determinism property: three campaigns with different seeds and strategies

@@ -86,7 +86,6 @@ constexpr FlagInfo kCampaignFlags[] = {
     {"budget", "N", "max concurrent tests to generate (default 300)"},
     {"trials", "N", "trials per concurrent test (default 24)"},
     {"workers", "N", "worker threads for every parallel stage (default 4)"},
-    {"no-stream", nullptr, "run stages as strict barriers instead of streaming"},
     {"no-prune", nullptr, "disable schedule-equivalence pruning (on by default)"},
     {"prune-saturation", "K", "consecutive duplicate trials before a test saturates "
                               "(default 1)"},
@@ -349,9 +348,6 @@ int CmdRun(const Args& args) {
   }
 
   TraceSession trace(args.Get("trace-out", nullptr));
-  PreparedCampaign campaign;
-  campaign.corpus = *corpus;
-  campaign.pmcs = *pmcs;
   PipelineOptions options;
   options.strategy = strategy;
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
@@ -363,14 +359,14 @@ int CmdRun(const Args& args) {
     return 2;
   }
 
-  size_t clusters = 0;
-  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
+  // The saved corpus and PMC table seed the campaign: no fuzzing, profiling or
+  // identification runs, only test generation and execution.
+  CampaignSeeds seeds;
+  seeds.corpus = std::move(*corpus);
+  seeds.pmcs = std::move(*pmcs);
+  PipelineResult result = RunSnowboardPipeline(options, seeds);
   std::printf("%s: %zu clusters -> %zu concurrent tests\n", StrategyName(options.strategy),
-              clusters, tests.size());
-  PmcMatcher matcher(&campaign.pmcs);
-  PipelineResult result;
-  ExecuteCampaign(tests, StrategyUsesPmcs(options.strategy),
-                  StrategyUsesPmcs(options.strategy) ? &matcher : nullptr, options, &result);
+              result.cluster_count, result.tests_generated);
   PrintResult(result);
   return 0;
 }
@@ -442,7 +438,6 @@ int CmdCampaign(const Args& args) {
   spec.budget = static_cast<size_t>(args.GetInt("budget", 300));
   spec.trials = static_cast<int>(args.GetInt("trials", 24));
   spec.workers = static_cast<int>(args.GetInt("workers", 4));
-  spec.streaming = !args.Has("no-stream");
   spec.prune = !args.Has("no-prune");
   spec.prune_saturation = static_cast<int>(args.GetInt("prune-saturation", 1));
   if (spec.prune_saturation < 1) {
